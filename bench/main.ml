@@ -345,8 +345,26 @@ let micro_state pool =
   let origins = Array.init 4096 (fun _ -> Prng.Rng.int rng n) in
   (lat, chord, hnet, keys, origins)
 
+(* A bare engine holding ~12 000 pending timers, each re-arming itself on
+   firing with a delay drawn from a fixed table: the pending depth of the
+   message-level soak, with no protocol work. One op dispatches one event. *)
+let engine_state () =
+  let eng = Simnet.Engine.create ~latency:(fun _ _ -> 0.0) ~nodes:1 in
+  let rng = Prng.Rng.create ~seed:13 in
+  let delays = Array.init 4096 (fun _ -> Prng.Rng.float rng 1000.0) in
+  let k = ref 0 in
+  let rec arm () =
+    k := (!k + 1) land 4095;
+    Simnet.Engine.timer eng ~node:0 ~delay:delays.(!k) arm
+  in
+  for _ = 1 to 12_000 do
+    arm ()
+  done;
+  eng
+
 let micro_tests pool =
   let lat, chord, hnet, keys, origins = micro_state pool in
+  let eng = engine_state () in
   let counter = ref 0 in
   let next () =
     counter := (!counter + 1) land 4095;
@@ -376,6 +394,8 @@ let micro_tests pool =
       (Staged.stage (fun () ->
            let i = next () in
            ignore (Topology.Latency.host_latency lat origins.(i) origins.((i + 1) land 4095))));
+    Test.make ~name:"engine-event-12k"
+      (Staged.stage (fun () -> Simnet.Engine.run ~max_events:1 eng));
   ]
 
 (* shared bechamel OLS loop; [print] renders one estimate (always collected

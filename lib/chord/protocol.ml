@@ -57,6 +57,9 @@ type t = {
   stab : Simnet.Stability.t;
   mutable scale : float; (* current maintenance-interval multiplier, >= 1 *)
   mutable probing : bool; (* fingerprint probe loop started *)
+  mutable members : int list; (* cached live_members, valid while both counts below hold *)
+  mutable members_size : int; (* Hashtbl.length nodes when cached *)
+  mutable members_moves : int; (* engine deaths + revivals when cached *)
   mutable maint_stabilize : int;
   mutable maint_notify : int;
   mutable maint_fix_fingers : int;
@@ -80,6 +83,9 @@ let create ?(ts = Obs.Timeseries.disabled) cfg eng =
     stab = Simnet.Stability.create ~k:cfg.stability_k ();
     scale = 1.0;
     probing = false;
+    members = [];
+    members_size = -1;
+    members_moves = -1;
     maint_stabilize = 0;
     maint_notify = 0;
     maint_fix_fingers = 0;
@@ -125,9 +131,19 @@ let predecessor_addr t addr = Option.map (fun p -> p.paddr) (get t addr).pred
 let successor_list_addrs t addr = List.map (fun p -> p.paddr) (get t addr).succs
 let finger_addrs t addr = Array.map (Option.map (fun p -> p.paddr)) (get t addr).fingers
 
+(* Members are never removed from the table and liveness changes only
+   through Engine.kill/revive, so the table size and the engine's
+   transition count together say when the sorted list must be rebuilt. *)
 let live_members t =
-  Hashtbl.fold (fun addr _ acc -> if Engine.is_alive t.eng addr then addr :: acc else acc) t.nodes []
-  |> List.sort Stdlib.compare
+  let size = Hashtbl.length t.nodes and moves = Engine.deaths t.eng + Engine.revivals t.eng in
+  if size <> t.members_size || moves <> t.members_moves then begin
+    t.members <-
+      Hashtbl.fold (fun a _ acc -> if Engine.is_alive t.eng a then a :: acc else acc) t.nodes []
+      |> List.sort Stdlib.compare;
+    t.members_size <- size;
+    t.members_moves <- moves
+  end;
+  t.members
 
 (* Lifecycle events are rare relative to messages, so counting live members
    on each one is cheap enough for the membership gauge. *)

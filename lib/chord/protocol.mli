@@ -89,6 +89,9 @@ val ring_from : t -> int -> int list
     length guard trips) — the current ring order as this node sees it. *)
 
 val live_members : t -> int list
+(** Addresses of the members alive in the engine, ascending. The list is
+    cached and rebuilt only when a node joins or the engine kills or
+    revives a node, so callers may ask for it once per operation. *)
 
 (** {2 Convergence and maintenance cost}
 

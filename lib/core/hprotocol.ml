@@ -72,6 +72,9 @@ type t = {
   stabs : Simnet.Stability.t array; (* stabs.(layer-1) = that layer's detector *)
   mutable scale : float; (* current maintenance-interval multiplier, >= 1 *)
   mutable probing : bool; (* fingerprint probe loop started *)
+  mutable members : int list; (* cached live_members, valid while both counts below hold *)
+  mutable members_size : int; (* Hashtbl.length nodes when cached *)
+  mutable members_moves : int; (* engine deaths + revivals when cached *)
   mutable maint_stabilize : int;
   mutable maint_notify : int;
   mutable maint_fix_fingers : int;
@@ -102,6 +105,9 @@ let create ?(ts = Obs.Timeseries.disabled) cfg eng ~lat ~landmarks =
     stabs = Array.init cfg.depth (fun _ -> Simnet.Stability.create ~k:cfg.stability_k ());
     scale = 1.0;
     probing = false;
+    members = [];
+    members_size = -1;
+    members_moves = -1;
     maint_stabilize = 0;
     maint_notify = 0;
     maint_fix_fingers = 0;
@@ -278,9 +284,19 @@ let find_ring_table t rname =
           else None)
     t.nodes None
 
+(* Members are never removed from the table and liveness changes only
+   through Engine.kill/revive, so the table size and the engine's
+   transition count together say when the sorted list must be rebuilt. *)
 let live_members t =
-  Hashtbl.fold (fun a _ acc -> if Engine.is_alive t.eng a then a :: acc else acc) t.nodes []
-  |> List.sort Stdlib.compare
+  let size = Hashtbl.length t.nodes and moves = Engine.deaths t.eng + Engine.revivals t.eng in
+  if size <> t.members_size || moves <> t.members_moves then begin
+    t.members <-
+      Hashtbl.fold (fun a _ acc -> if Engine.is_alive t.eng a then a :: acc else acc) t.nodes []
+      |> List.sort Stdlib.compare;
+    t.members_size <- size;
+    t.members_moves <- moves
+  end;
+  t.members
 
 (* ---- generic request/response with timeout --------------------------- *)
 

@@ -126,6 +126,9 @@ val find_ring_table : t -> Ring_name.t -> (int * Ring_table.t) option
     returns the storing node and the table. *)
 
 val live_members : t -> int list
+(** Addresses of the members alive in the engine, ascending. The list is
+    cached and rebuilt only when a node joins or the engine kills or
+    revives a node, so callers may ask for it once per operation. *)
 
 (** {2 Convergence and maintenance cost}
 

@@ -275,7 +275,9 @@ let run_cell spec ~fi ~factor ~algo =
       Engine.schedule eng ~delay:e.Churn.at (fun () ->
           match e.Churn.kind with
           | Churn.Join ->
-              if not (p.is_member e.Churn.node) then begin
+              (* a host the fault schedule crashed stays down until it is
+                 revived: it cannot start a join while dead *)
+              if (not (p.is_member e.Churn.node)) && Engine.is_alive eng e.Churn.node then begin
                 match p.live () with
                 | b :: _ -> p.join ~addr:e.Churn.node ~id:(id_of e.Churn.node) ~bootstrap:b
                 | [] -> ()

@@ -1,8 +1,12 @@
+(* A record of floats only is stored flat, so advancing the clock writes an
+   unboxed float: no allocation and no write barrier per event. *)
+type clock = { mutable ms : float }
+
 type t = {
   latency : int -> int -> float;
   alive : bool array;
   heap : Event_heap.t;
-  mutable clock : float;
+  clock : clock;
   mutable loss_rate : float;
   mutable loss_rng : Prng.Rng.t option;
   mutable sent : int;
@@ -36,7 +40,7 @@ let create ~latency ~nodes =
     latency;
     alive = Array.make nodes true;
     heap = Event_heap.create ();
-    clock = 0.0;
+    clock = { ms = 0.0 };
     loss_rate = 0.0;
     loss_rng = None;
     sent = 0;
@@ -66,7 +70,7 @@ let attach_timeseries ?(prefix = "net") t ts =
 let attach_netspan t ns = t.ns <- ns
 let netspan t = t.ns
 
-let now t = t.clock
+let now t = t.clock.ms
 let node_count t = Array.length t.alive
 let is_alive t n = t.alive.(n)
 
@@ -79,7 +83,7 @@ let kill t n =
     t.alive.(n) <- false;
     t.deaths <- t.deaths + 1;
     t.live <- t.live - 1;
-    Obs.Timeseries.set t.ts_live ~at:t.clock (float_of_int t.live)
+    Obs.Timeseries.set t.ts_live ~at:t.clock.ms (float_of_int t.live)
   end
 
 let revive t n =
@@ -87,7 +91,7 @@ let revive t n =
     t.alive.(n) <- true;
     t.revivals <- t.revivals + 1;
     t.live <- t.live + 1;
-    Obs.Timeseries.set t.ts_live ~at:t.clock (float_of_int t.live)
+    Obs.Timeseries.set t.ts_live ~at:t.clock.ms (float_of_int t.live)
   end
 
 let set_loss t ~rate ~rng =
@@ -111,17 +115,17 @@ let send_traced t ~kind ~src ~dst f =
   let parent = t.cur_span in
   let root = if parent < 0 then span else t.cur_root in
   let lat = t.latency src dst in
-  Obs.Netspan.msg ns ~span ~parent ~root ~kind ~src ~dst ~at:t.clock ~lat;
+  Obs.Netspan.msg ns ~span ~parent ~root ~kind ~src ~dst ~at:t.clock.ms ~lat;
   if lost t then begin
     t.dropped_loss <- t.dropped_loss + 1;
-    Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0;
-    Obs.Netspan.drop ns ~span ~root ~at:t.clock ~why:`Loss
+    Obs.Timeseries.add t.ts_dropped ~at:t.clock.ms 1.0;
+    Obs.Netspan.drop ns ~span ~root ~at:t.clock.ms ~why:`Loss
   end
   else
-    Event_heap.push t.heap ~time:(t.clock +. lat) (fun () ->
+    Event_heap.push t.heap ~time:(t.clock.ms +. lat) (fun () ->
         if t.alive.(dst) then begin
           t.delivered <- t.delivered + 1;
-          Obs.Timeseries.add t.ts_delivered ~at:t.clock 1.0;
+          Obs.Timeseries.add t.ts_delivered ~at:t.clock.ms 1.0;
           let ps = t.cur_span and pr = t.cur_root in
           t.cur_span <- span;
           t.cur_root <- root;
@@ -131,67 +135,72 @@ let send_traced t ~kind ~src ~dst f =
         end
         else begin
           t.dropped_dead <- t.dropped_dead + 1;
-          Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0;
-          Obs.Netspan.drop ns ~span ~root ~at:t.clock ~why:`Dead
+          Obs.Timeseries.add t.ts_dropped ~at:t.clock.ms 1.0;
+          Obs.Netspan.drop ns ~span ~root ~at:t.clock.ms ~why:`Dead
         end)
 
 let send ?(kind = Obs.Netspan.Other) t ~src ~dst f =
   if not t.alive.(src) then invalid_arg "Engine.send: source node is dead";
   t.sent <- t.sent + 1;
-  Obs.Timeseries.add t.ts_sent ~at:t.clock 1.0;
+  Obs.Timeseries.add t.ts_sent ~at:t.clock.ms 1.0;
   if Obs.Netspan.enabled t.ns then send_traced t ~kind ~src ~dst f
   else if lost t then begin
     t.dropped_loss <- t.dropped_loss + 1;
-    Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
+    Obs.Timeseries.add t.ts_dropped ~at:t.clock.ms 1.0
   end
   else begin
-    let arrival = t.clock +. t.latency src dst in
+    let arrival = t.clock.ms +. t.latency src dst in
     Event_heap.push t.heap ~time:arrival (fun () ->
         if t.alive.(dst) then begin
           t.delivered <- t.delivered + 1;
-          Obs.Timeseries.add t.ts_delivered ~at:t.clock 1.0;
+          Obs.Timeseries.add t.ts_delivered ~at:t.clock.ms 1.0;
           f ()
         end
         else begin
           t.dropped_dead <- t.dropped_dead + 1;
-          Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
+          Obs.Timeseries.add t.ts_dropped ~at:t.clock.ms 1.0
         end)
   end
 
 let timer t ~node ~delay f =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
   t.timers_set <- t.timers_set + 1;
-  Event_heap.push t.heap ~time:(t.clock +. delay) (fun () ->
+  Event_heap.push t.heap ~time:(t.clock.ms +. delay) (fun () ->
       if t.alive.(node) then begin
         t.timers_fired <- t.timers_fired + 1;
         f ()
       end
       else begin
         t.dropped_dead <- t.dropped_dead + 1;
-        Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
+        Obs.Timeseries.add t.ts_dropped ~at:t.clock.ms 1.0
       end)
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  Event_heap.push t.heap ~time:(t.clock +. delay) f
+  Event_heap.push t.heap ~time:(t.clock.ms +. delay) f
 
 let run ?(max_events = max_int) ?until t =
+  let h = t.heap in
+  let bounded, limit = match until with Some l -> (true, l) | None -> (false, infinity) in
   let processed = ref 0 in
   let continue = ref true in
   while !continue && !processed < max_events do
-    match Event_heap.pop t.heap with
-    | None -> continue := false
-    | Some (time, f) ->
-        (match until with
-        | Some limit when time >= limit ->
-            (* put it back: it belongs to a later run *)
-            Event_heap.push t.heap ~time f;
-            t.clock <- limit;
-            continue := false
-        | _ ->
-            t.clock <- Float.max t.clock time;
-            incr processed;
-            f ())
+    if Event_heap.is_empty h then continue := false
+    else begin
+      let time = Event_heap.min_time h in
+      if bounded && time >= limit then begin
+        (* it belongs to a later run; it is re-sequenced exactly as if it
+           had been popped and pushed back *)
+        Event_heap.resequence_min h;
+        t.clock.ms <- limit;
+        continue := false
+      end
+      else begin
+        if time > t.clock.ms then t.clock.ms <- time;
+        incr processed;
+        (Event_heap.take h) ()
+      end
+    end
   done
 
 let run_until_quiet ?(max_events = 10_000_000) t =
@@ -221,4 +230,4 @@ let export_metrics ?(prefix = "simnet") t m =
   c "revivals" t.revivals;
   c "pending_events" (Event_heap.size t.heap);
   Obs.Metrics.set (Obs.Metrics.gauge m (prefix ^ ".live")) (float_of_int t.live);
-  Obs.Metrics.set (Obs.Metrics.gauge m (prefix ^ ".clock_ms")) t.clock
+  Obs.Metrics.set (Obs.Metrics.gauge m (prefix ^ ".clock_ms")) t.clock.ms

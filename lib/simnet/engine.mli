@@ -62,7 +62,17 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 val run : ?max_events:int -> ?until:float -> t -> unit
 (** Process events in timestamp order until the queue is empty, [until]
     (exclusive) is reached, or [max_events] have run. Remaining events stay
-    queued; [run] can be called again. *)
+    queued; [run] can be called again.
+
+    Stopping at [until] re-sequences the earliest remaining event
+    ({!Event_heap.resequence_min}): it keeps its time but moves behind
+    every other event due at that same time, exactly as if it had been
+    dequeued and queued again. So two events due at [T], [A] queued before
+    [B], fire [A, B] under one [run] but [B, A] under [run ~until:T]
+    followed by [run]: where a caller slices the run is part of the event
+    order. This is current behaviour, kept because the protocol results of
+    sliced callers depend on it; it is a known deviation from strict
+    insertion order that a later correctness change may remove. *)
 
 val run_until_quiet : ?max_events:int -> t -> unit
 (** Run until the queue drains completely (bounded by [max_events],

@@ -474,6 +474,131 @@ let test_conformance_survives_healing () =
         (CP.successor_list_addrs p addr))
     live
 
+(* live_members is cached; the cache must follow joins, protocol failures
+   and kills/revives made directly on the engine (fault schedules) *)
+let test_live_members_cache () =
+  let _, eng = make_world ~hosts:6 40 in
+  let p = CP.create (CP.default_config space) eng in
+  let id = ids 6 in
+  CP.spawn p ~addr:0 ~id:id.(0);
+  List.iter (fun a -> CP.join p ~addr:a ~id:id.(a) ~bootstrap:0) [ 3; 1 ];
+  Alcotest.(check (list int)) "joined, sorted" [ 0; 1; 3 ] (CP.live_members p);
+  Engine.kill eng 3;
+  Alcotest.(check (list int)) "engine kill" [ 0; 1 ] (CP.live_members p);
+  Engine.kill eng 5;
+  CP.join p ~addr:2 ~id:id.(2) ~bootstrap:0;
+  Alcotest.(check (list int)) "join" [ 0; 1; 2 ] (CP.live_members p);
+  Engine.revive eng 3;
+  Alcotest.(check (list int)) "engine revive" [ 0; 1; 2; 3 ] (CP.live_members p);
+  CP.fail_node p 1;
+  Alcotest.(check (list int)) "protocol failure" [ 0; 2; 3 ] (CP.live_members p)
+
+(* --- sliced runs -------------------------------------------------------------- *)
+
+(* Callers advance the engine in [run ~until] slices (the soak's probe loop,
+   the benchmark's audits). An event due exactly at a slice boundary is
+   re-sequenced behind same-time events queued before it, so slicing is part
+   of the event order, and no golden runs sliced. These rings are driven in
+   1000 ms slices for 60 s with 1% loss and three crashes at 40 s; the
+   constants pin the traffic and final routing state that this order
+   produces, whatever the queue's implementation. *)
+
+let slice_ms = 1000.0
+let slices = 60
+
+let drive_sliced eng =
+  for k = 1 to slices do
+    Engine.run ~until:(float_of_int k *. slice_ms) eng
+  done
+
+let sliced_world seed =
+  let lat, eng = make_world seed in
+  Engine.set_loss eng ~rate:0.01 ~rng:(Prng.Rng.create ~seed:(seed + 1));
+  (lat, eng)
+
+let fp_peer acc peer = Simnet.Stability.fp_add acc (Option.value peer ~default:(-1))
+
+(* the protocols' own stability fingerprint, recomputed from public state:
+   every live node's predecessor, successor list and fingers, address order *)
+let state_fp ~live ~pred ~succs ~fingers =
+  let open Simnet.Stability in
+  List.fold_left
+    (fun acc a ->
+      let acc = fp_peer (fp_add acc a) (pred a) in
+      let acc = fp_add (List.fold_left fp_add acc (succs a)) (-2) in
+      Array.fold_left fp_peer acc (fingers a))
+    fp_init live
+
+let engine_counts eng =
+  [
+    ("sent", Engine.sent eng);
+    ("delivered", Engine.delivered eng);
+    ("timers_fired", Engine.timers_fired eng);
+    ("dropped_loss", Engine.dropped_loss eng);
+    ("dropped_dead", Engine.dropped_dead eng);
+  ]
+
+let check_counts what expected actual =
+  List.iter2
+    (fun (name, e) (_, a) -> Alcotest.(check int) (what ^ " " ^ name) e a)
+    expected actual
+
+let test_chord_sliced_run () =
+  let n = 24 in
+  let _, eng = sliced_world 31 in
+  let p = CP.create (CP.default_config space) eng in
+  let id = ids n in
+  CP.spawn p ~addr:0 ~id:id.(0);
+  for i = 1 to n - 1 do
+    Engine.schedule eng ~delay:(float_of_int i *. 250.0) (fun () ->
+        CP.join p ~addr:i ~id:id.(i) ~bootstrap:0)
+  done;
+  Engine.schedule eng ~delay:40_000.0 (fun () -> List.iter (CP.fail_node p) [ 5; 11; 17 ]);
+  drive_sliced eng;
+  check_counts "chord"
+    [
+      ("sent", 32678);
+      ("delivered", 32219);
+      ("timers_fired", 28191);
+      ("dropped_loss", 322);
+      ("dropped_dead", 221);
+    ]
+    (engine_counts eng);
+  Alcotest.(check int) "chord fingerprint" 2004833418836208969
+    (state_fp ~live:(CP.live_members p) ~pred:(CP.predecessor_addr p)
+       ~succs:(CP.successor_list_addrs p) ~fingers:(CP.finger_addrs p))
+
+let test_hieras_sliced_run () =
+  let n = 24 in
+  let lat, eng = sliced_world 32 in
+  let lm = Binning.Landmark.choose_spread lat ~count:3 (Prng.Rng.create ~seed:34) in
+  let p = HP.create (HP.default_config space ~depth:2) eng ~lat ~landmarks:lm in
+  let id = ids n in
+  HP.spawn p ~addr:0 ~id:id.(0);
+  for i = 1 to n - 1 do
+    Engine.schedule eng ~delay:(float_of_int i *. 250.0) (fun () ->
+        HP.join p ~addr:i ~id:id.(i) ~bootstrap:0)
+  done;
+  Engine.schedule eng ~delay:40_000.0 (fun () -> List.iter (HP.fail_node p) [ 5; 11; 17 ]);
+  drive_sliced eng;
+  check_counts "hieras"
+    [
+      ("sent", 65466);
+      ("delivered", 64548);
+      ("timers_fired", 58475);
+      ("dropped_loss", 700);
+      ("dropped_dead", 409);
+    ]
+    (engine_counts eng);
+  List.iter
+    (fun (layer, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "hieras layer-%d fingerprint" layer)
+        expected
+        (state_fp ~live:(HP.live_members p) ~pred:(HP.predecessor_addr p ~layer)
+           ~succs:(HP.successor_list_addrs p ~layer) ~fingers:(HP.finger_addrs p ~layer)))
+    [ (1, 2004833418836208969); (2, 1757546482681142497) ]
+
 let () =
   Alcotest.run "protocols"
     [
@@ -487,6 +612,7 @@ let () =
           Alcotest.test_case "survives message loss" `Slow test_chord_survives_message_loss;
           Alcotest.test_case "duplicate addr" `Quick test_chord_rejects_duplicate_addr;
           Alcotest.test_case "single node" `Quick test_chord_single_node_lookup;
+          Alcotest.test_case "live_members cache" `Quick test_live_members_cache;
         ] );
       ( "hieras-protocol",
         [
@@ -507,5 +633,10 @@ let () =
           Alcotest.test_case "hieras matches per-layer oracles" `Slow test_hieras_conforms_per_layer;
           Alcotest.test_case "healed ring matches survivor oracle" `Slow
             test_conformance_survives_healing;
+        ] );
+      ( "sliced-run",
+        [
+          Alcotest.test_case "chord ring, 1000 ms slices" `Slow test_chord_sliced_run;
+          Alcotest.test_case "hieras rings, 1000 ms slices" `Slow test_hieras_sliced_run;
         ] );
     ]

@@ -128,6 +128,73 @@ let test_heap_growth () =
   let sorted = List.sort compare (Array.to_list times) in
   Alcotest.(check bool) "pops in sorted order" true (List.rev !popped = sorted)
 
+(* Model test: random interleavings of push, take and resequence_min
+   against a reference set ordered by (time, seq). Times come from four
+   values, so ties are the common case. Each run grows to 4200 pending
+   events (past the initial 64 slots and past 4096) and then drains,
+   checking pop order, min_time and size after every step. *)
+module Ref = Set.Make (struct
+  type t = float * int * int (* time, seq, event id *)
+
+  let compare (t1, s1, _) (t2, s2, _) =
+    match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
+let heap_model_agrees (seed, push_bias) =
+  let rng = Random.State.make [| seed |] in
+  let h = Heap.create () in
+  let model = ref Ref.empty and pending = ref 0 and next_seq = ref 0 and next_id = ref 0 in
+  let fired = ref (-1) and ok = ref true in
+  let expect cond = if not cond then ok := false in
+  let check_min () =
+    expect (Heap.size h = !pending);
+    match Ref.min_elt_opt !model with
+    | None -> expect (Heap.is_empty h && Heap.min_time h = infinity)
+    | Some (t, _, _) -> expect (Heap.min_time h = t)
+  in
+  let push () =
+    let time = float_of_int (Random.State.int rng 4) and id = !next_id in
+    incr next_id;
+    Heap.push h ~time (fun () -> fired := id);
+    model := Ref.add (time, !next_seq, id) !model;
+    incr pending;
+    incr next_seq
+  in
+  let take () =
+    match Ref.min_elt_opt !model with
+    | None -> ()
+    | Some ((_, _, id) as e) ->
+        (Heap.take h) ();
+        expect (!fired = id);
+        model := Ref.remove e !model;
+        decr pending
+  in
+  let resequence () =
+    match Ref.min_elt_opt !model with
+    | None -> ()
+    | Some ((t, _, id) as e) ->
+        Heap.resequence_min h;
+        model := Ref.add (t, !next_seq, id) (Ref.remove e !model);
+        incr next_seq
+  in
+  let step bias =
+    let r = Random.State.float rng 1.0 in
+    if r < bias then push () else if r < bias +. ((1.0 -. bias) /. 2.0) then take () else resequence ();
+    check_min ()
+  in
+  while !ok && !pending < 4200 do
+    step push_bias
+  done;
+  while !ok && !pending > 0 do
+    step 0.3
+  done;
+  !ok
+
+let test_heap_model =
+  QCheck.Test.make ~name:"push/take/resequence_min agree with a (time, seq) model" ~count:12
+    QCheck.(pair (int_bound 1_000_000) (float_range 0.55 0.9))
+    heap_model_agrees
+
 (* --- Engine ------------------------------------------------------------------ *)
 
 let const_latency l _ _ = l
@@ -237,6 +304,23 @@ let test_run_until () =
   Alcotest.(check (list (float 1e-9))) "rest delivered on resume" [ 1.0; 5.0; 9.0 ]
     (List.rev !fired)
 
+let test_run_until_boundary_order () =
+  (* A and B are both due at T, A queued first. One run fires them in
+     insertion order. A run ~until:T stops in front of A and re-sequences it
+     behind B, so the resumed run fires B first: the slice boundary is part
+     of the event order. *)
+  let fire_order slice =
+    let eng = Engine.create ~latency:(const_latency 1.0) ~nodes:1 in
+    let fired = ref [] in
+    Engine.schedule eng ~delay:5.0 (fun () -> fired := "A" :: !fired);
+    Engine.schedule eng ~delay:5.0 (fun () -> fired := "B" :: !fired);
+    if slice then Engine.run ~until:5.0 eng;
+    Engine.run eng;
+    List.rev !fired
+  in
+  Alcotest.(check (list string)) "one run" [ "A"; "B" ] (fire_order false);
+  Alcotest.(check (list string)) "sliced at T" [ "B"; "A" ] (fire_order true)
+
 let test_clock_monotonic () =
   let eng = Engine.create ~latency:(const_latency 3.0) ~nodes:2 in
   let times = ref [] in
@@ -297,6 +381,7 @@ let () =
             test_heap_ties_across_interleaved_pops;
           Alcotest.test_case "size" `Quick test_heap_size;
           Alcotest.test_case "growth + global order" `Quick test_heap_growth;
+          QCheck_alcotest.to_alcotest test_heap_model;
         ] );
       ( "engine",
         [
@@ -310,6 +395,7 @@ let () =
           Alcotest.test_case "timer on dead node" `Quick test_timer_on_dead_node;
           Alcotest.test_case "schedule unconditional" `Quick test_schedule_unconditional;
           Alcotest.test_case "run until" `Quick test_run_until;
+          Alcotest.test_case "slice-boundary order" `Quick test_run_until_boundary_order;
           Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
           Alcotest.test_case "message loss" `Quick test_message_loss;
           Alcotest.test_case "loss validation" `Quick test_loss_validation;
