@@ -8,9 +8,10 @@
     (the engine drops messages to dead nodes; requesters detect loss by
     timeout and route around).
 
-    Tests assert that a protocol-built ring converges to exactly the
-    fixpoint {!Network.build} computes directly, and that lookups keep
-    succeeding under churn and message loss. *)
+    It is the one-ring instance of {!Ring_proto}, which holds the
+    maintenance rounds. Tests assert that a protocol-built ring converges
+    to exactly the fixpoint {!Network.build} computes directly, and that
+    lookups keep succeeding under churn and message loss. *)
 
 type config = {
   space : Hashid.Id.space;
@@ -89,20 +90,13 @@ val ring_from : t -> int -> int list
     length guard trips) — the current ring order as this node sees it. *)
 
 val live_members : t -> int list
-(** Addresses of the members alive in the engine, ascending. The list is
-    cached and rebuilt only when a node joins or the engine kills or
-    revives a node, so callers may ask for it once per operation. *)
+(** Members alive in the engine, ascending; cheap to ask once per operation
+    ({!Ring_proto.live_members}). *)
 
 (** {2 Convergence and maintenance cost}
 
-    A {!Simnet.Stability} detector fingerprints the whole routing state
-    (live membership, predecessors, successor lists, finger tables) at a
-    fixed [stabilize_every] cadence, from the first spawn/join on. With
-    [adaptive] set, maintenance intervals double while the ring is stable
-    (up to [backoff_max]) and snap back to the base cadence the moment the
-    fingerprint changes or a lifecycle event lands. The probe itself runs
-    as an engine god-event: it sends no messages and never backs off, so
-    detection latency stays bounded. *)
+    One {!Simnet.Stability} detector over the ring's fingerprint, fed by
+    the message-free probe described in {!Ring_proto}. *)
 
 val stability : t -> Simnet.Stability.t
 val converged : t -> bool

@@ -15,17 +15,18 @@
     four extremes — exactly the sequence of §3.3. The first node of a ring
     creates the ring table.
 
-    Maintenance: per-layer stabilize / notify / fix-fingers / check-
-    predecessor (as in {!Chord.Protocol}, including failure suspicion and
-    anchor-based split-ring healing), plus three ring-table duties on every
-    node that stores tables: a liveness check that expunges dead entries and
-    refills from a surviving member's successor list; replication of each
-    table to the global successor ("duplicated on several nodes for fault
-    tolerance", §3.1) with promotion when ownership passes to the replica
-    holder; and a migration check that re-routes each table to the currently
-    responsible top-layer node as churn moves ownership. A periodic
-    ring-refresh duty re-reads each ring's table and merges the private
-    rings that concurrent joins with stale tables can create. *)
+    Maintenance: every layer is one ring of {!Chord.Ring_proto}, which runs
+    stabilize / notify / fix-fingers / check-predecessor with failure
+    suspicion, and anchor-based split-ring healing on the global ring. On
+    top of that, every node that stores tables runs three ring-table
+    duties: a liveness check that expunges dead entries and refills from a
+    surviving member's successor list; replication of each table to the
+    global successor ("duplicated on several nodes for fault tolerance",
+    §3.1) with promotion when ownership passes to the replica holder; and a
+    migration check that re-routes each table to the currently responsible
+    top-layer node as churn moves ownership. A periodic ring-refresh duty
+    re-reads each ring's table and merges the private rings that concurrent
+    joins with stale tables can create. *)
 
 type config = {
   space : Hashid.Id.space;
@@ -126,18 +127,14 @@ val find_ring_table : t -> Ring_name.t -> (int * Ring_table.t) option
     returns the storing node and the table. *)
 
 val live_members : t -> int list
-(** Addresses of the members alive in the engine, ascending. The list is
-    cached and rebuilt only when a node joins or the engine kills or
-    revives a node, so callers may ask for it once per operation. *)
+(** Members alive in the engine, ascending; cheap to ask once per operation
+    ({!Chord.Ring_proto.live_members}). *)
 
 (** {2 Convergence and maintenance cost}
 
-    One {!Simnet.Stability} detector per layer, fed from a fixed-cadence
-    message-free probe that fingerprints each layer's routing state
-    (live membership, predecessors, successor lists, finger tables). With
-    [adaptive] set, all maintenance intervals (including ring duties)
-    double while {e every} layer is stable, up to [backoff_max], and snap
-    back to the base cadence on any detected change or lifecycle event. *)
+    One {!Simnet.Stability} detector per layer, fed by the probe described
+    in {!Chord.Ring_proto}. The adaptive backoff scales the ring duties too,
+    and engages only while {e every} layer is stable. *)
 
 val stability : t -> layer:int -> Simnet.Stability.t
 (** The layer's detector, [layer] in [1 .. depth] (1 = global). *)

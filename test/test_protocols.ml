@@ -599,6 +599,107 @@ let test_hieras_sliced_run () =
            ~succs:(HP.successor_list_addrs p ~layer) ~fingers:(HP.finger_addrs p ~layer)))
     [ (1, 2004833418836208969); (2, 1757546482681142497) ]
 
+(* The same sliced drive with adaptive backoff on: the interval multiplier
+   feeds every maintenance timer's delay, so the traffic, the operation
+   count, the multiplier's peak over the slice ends and its final value pin
+   the backoff path. *)
+let drive_sliced_scale eng scale =
+  let peak = ref 1.0 in
+  for k = 1 to slices do
+    Engine.run ~until:(float_of_int k *. slice_ms) eng;
+    peak := Float.max !peak (scale ())
+  done;
+  !peak
+
+let check_scale what ~peak ~final ~ops (p_peak, p_final, p_ops) =
+  Alcotest.(check (float 0.0)) (what ^ " peak interval_scale") peak p_peak;
+  Alcotest.(check (float 0.0)) (what ^ " final interval_scale") final p_final;
+  Alcotest.(check int) (what ^ " maintenance_ops") ops p_ops
+
+let test_chord_sliced_adaptive () =
+  let n = 24 in
+  let _, eng = sliced_world 35 in
+  let p = CP.create { (CP.default_config space) with adaptive = true } eng in
+  let id = ids n in
+  CP.spawn p ~addr:0 ~id:id.(0);
+  for i = 1 to n - 1 do
+    Engine.schedule eng ~delay:(float_of_int i *. 250.0) (fun () ->
+        CP.join p ~addr:i ~id:id.(i) ~bootstrap:0)
+  done;
+  Engine.schedule eng ~delay:40_000.0 (fun () -> List.iter (CP.fail_node p) [ 5; 11; 17 ]);
+  let peak = drive_sliced_scale eng (fun () -> CP.interval_scale p) in
+  check_counts "chord adaptive"
+    [
+      ("sent", 31796);
+      ("delivered", 31367);
+      ("timers_fired", 27458);
+      ("dropped_loss", 306);
+      ("dropped_dead", 203);
+    ]
+    (engine_counts eng);
+  check_scale "chord" ~peak:4.0 ~final:1.0 ~ops:24626
+    (peak, CP.interval_scale p, CP.maintenance_ops p);
+  Alcotest.(check int) "chord adaptive fingerprint" 2004833418836208969
+    (state_fp ~live:(CP.live_members p) ~pred:(CP.predecessor_addr p)
+       ~succs:(CP.successor_list_addrs p) ~fingers:(CP.finger_addrs p))
+
+let hieras_sliced ~seed ~depth ~adaptive =
+  let n = 24 in
+  let lat, eng = sliced_world seed in
+  let lm = Binning.Landmark.choose_spread lat ~count:3 (Prng.Rng.create ~seed:(seed + 2)) in
+  let p = HP.create { (HP.default_config space ~depth) with adaptive } eng ~lat ~landmarks:lm in
+  let id = ids n in
+  HP.spawn p ~addr:0 ~id:id.(0);
+  for i = 1 to n - 1 do
+    Engine.schedule eng ~delay:(float_of_int i *. 250.0) (fun () ->
+        HP.join p ~addr:i ~id:id.(i) ~bootstrap:0)
+  done;
+  Engine.schedule eng ~delay:40_000.0 (fun () -> List.iter (HP.fail_node p) [ 5; 11; 17 ]);
+  let peak = drive_sliced_scale eng (fun () -> HP.interval_scale p) in
+  (eng, p, peak)
+
+let check_layer_fps what p expected =
+  List.iter
+    (fun (layer, fp) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s layer-%d fingerprint" what layer)
+        fp
+        (state_fp ~live:(HP.live_members p) ~pred:(HP.predecessor_addr p ~layer)
+           ~succs:(HP.successor_list_addrs p ~layer) ~fingers:(HP.finger_addrs p ~layer)))
+    expected
+
+(* Under 1% loss most seeds never see every HIERAS layer stable at a probe
+   within 60 s, so the backoff never engages; seed 238 is one where it does
+   (peak 2), which keeps the doubling path pinned. *)
+let test_hieras_sliced_adaptive () =
+  let eng, p, peak = hieras_sliced ~seed:238 ~depth:2 ~adaptive:true in
+  check_counts "hieras adaptive"
+    [
+      ("sent", 65562);
+      ("delivered", 64681);
+      ("timers_fired", 58121);
+      ("dropped_loss", 679);
+      ("dropped_dead", 410);
+    ]
+    (engine_counts eng);
+  check_scale "hieras" ~peak:2.0 ~final:1.0 ~ops:51225
+    (peak, HP.interval_scale p, HP.maintenance_ops p);
+  check_layer_fps "hieras adaptive" p [ (1, 3335782721469310354); (2, 383545287659321534) ]
+
+let test_hieras_sliced_depth3 () =
+  let eng, p, _ = hieras_sliced ~seed:37 ~depth:3 ~adaptive:false in
+  check_counts "hieras depth-3"
+    [
+      ("sent", 97752);
+      ("delivered", 96574);
+      ("timers_fired", 86787);
+      ("dropped_loss", 957);
+      ("dropped_dead", 524);
+    ]
+    (engine_counts eng);
+  check_layer_fps "hieras depth-3" p
+    [ (1, 2004833418836208969); (2, 1238193117219221239); (3, 722502489793704136) ]
+
 let () =
   Alcotest.run "protocols"
     [
@@ -638,5 +739,8 @@ let () =
         [
           Alcotest.test_case "chord ring, 1000 ms slices" `Slow test_chord_sliced_run;
           Alcotest.test_case "hieras rings, 1000 ms slices" `Slow test_hieras_sliced_run;
+          Alcotest.test_case "chord ring, adaptive backoff" `Slow test_chord_sliced_adaptive;
+          Alcotest.test_case "hieras rings, adaptive backoff" `Slow test_hieras_sliced_adaptive;
+          Alcotest.test_case "hieras depth 3" `Slow test_hieras_sliced_depth3;
         ] );
     ]
