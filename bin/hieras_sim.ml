@@ -622,17 +622,26 @@ let churn_cmd =
   let run pool initial horizon join_rate fail_rate leave_rate loss bucket_ms lookups landmarks
       depth seed trace_out net_trace_out net_sample metrics =
     let net_rate = net_sample_rate ~net_out:net_trace_out net_sample in
-    if pool < 2 then exit_usage (Printf.sprintf "--pool must be >= 2 (got %d)" pool);
-    if initial < 1 || initial > pool then
-      exit_usage (Printf.sprintf "--initial must be in 1..pool (got %d)" initial);
-    if depth < 2 || depth > 4 then
-      exit_usage (Printf.sprintf "--depth must be between 2 and 4 (got %d)" depth);
-    if landmarks < 1 then exit_usage (Printf.sprintf "--landmarks must be >= 1 (got %d)" landmarks);
-    if horizon <= 0.0 then exit_usage (Printf.sprintf "--horizon must be > 0 (got %g)" horizon);
-    if loss < 0.0 || loss >= 1.0 then
-      exit_usage (Printf.sprintf "--loss must be in [0, 1) (got %g)" loss);
-    if bucket_ms <= 0.0 then
-      exit_usage (Printf.sprintf "--bucket-ms must be > 0 (got %g)" bucket_ms);
+    (* the churn run is one soak cell's worth of knobs: same checks, same messages *)
+    (match
+       Experiments.Soak.validate
+         {
+           Experiments.Soak.default_spec with
+           pool;
+           initial;
+           horizon_ms = horizon *. 1000.0;
+           join_rate;
+           fail_rate;
+           leave_rate;
+           loss;
+           bucket_ms;
+           depth;
+           landmarks;
+         }
+     with
+    | Ok () -> ()
+    | Error e -> exit_usage e);
+    if lookups < 0 then exit_usage (Printf.sprintf "--lookups must be >= 0 (got %d)" lookups);
     let module Id = Hashid.Id in
     let module Engine = Simnet.Engine in
     let rng = Prng.Rng.create ~seed in

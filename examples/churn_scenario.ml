@@ -77,26 +77,13 @@ let () =
                 | None -> ()
                 | Some o ->
                     incr answered;
-                    (* correctness oracle: the live member whose id is the
-                       key's successor at answer time *)
-                    let live = Hieras.Hprotocol.live_members p in
-                    let best =
-                      List.fold_left
-                        (fun acc m ->
-                          let mid = Hieras.Hprotocol.node_id p m in
-                          match acc with
-                          | None -> Some mid
-                          | Some b ->
-                              if Id.in_oc mid ~lo:key ~hi:b && Id.compare mid b <> 0 then
-                                Some mid
-                              else acc)
-                        None
-                        (List.filter (fun m -> m <> -1) live)
-                    in
-                    ignore best;
-                    (* under churn the answer is correct if the owner was a
-                       live member holding the key's arc when it replied *)
-                    if List.exists (fun m -> Id.equal (Hieras.Hprotocol.node_id p m) o.Hieras.Hprotocol.owner_id) live
+                    (* under churn, count answers whose owner is still a
+                       live member when the reply arrives *)
+                    let owner = o.Hieras.Hprotocol.owner_id in
+                    if
+                      List.exists
+                        (fun m -> Id.equal (Hieras.Hprotocol.node_id p m) owner)
+                        (Hieras.Hprotocol.live_members p)
                     then incr correct))
   done;
   Engine.run ~until:120_000.0 eng;

@@ -71,4 +71,11 @@ let lookup t ~origin ~key k =
   in
   attempt (R.config t).lookup_retries 0
 
+let overlay t =
+  R.overlay t ~join:(join t)
+    ~maintenance_ops:(fun () -> R.maintenance_ops t)
+    ~lookup:(fun ~origin ~key k ->
+      lookup t ~origin ~key (fun r ->
+          k (Option.map (fun o -> { R.paddr = o.owner_addr; pid = o.owner_id }) r)))
+
 let export_metrics ?(prefix = "chord.protocol") t m = R.export_metrics t ~prefix m

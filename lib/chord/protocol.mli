@@ -13,7 +13,7 @@
     to exactly the fixpoint {!Network.build} computes directly, and that
     lookups keep succeeding under churn and message loss. *)
 
-type config = {
+type config = Ring_proto.config = {
   space : Hashid.Id.space;
   stabilize_every : float;  (** ms between stabilize rounds *)
   fix_fingers_every : float;
@@ -73,6 +73,10 @@ val lookup :
   t -> origin:int -> key:Hashid.Id.t -> (lookup_outcome option -> unit) -> unit
 (** Asynchronous lookup; the callback gets [None] after all retries time
     out. *)
+
+val overlay : t -> Ring_proto.overlay
+(** The uniform view {!Ring_proto.overlay} of this ring, the form in which
+    the store and the experiments drive it. *)
 
 (** {2 Introspection (tests and examples)} *)
 

@@ -96,7 +96,10 @@ let create ?(ts = Obs.Timeseries.disabled) ?(gauges = fun ~at:_ _ -> ()) ~who ~n
 let engine t = t.eng
 let config t = t.cfg
 let nodes t = t.nodes
-let stability t ~layer = t.stabs.(layer - 1)
+let stability t ~layer =
+  if layer < 1 || layer > Array.length t.stabs then
+    invalid_arg "Ring_proto.stability: layer out of range";
+  t.stabs.(layer - 1)
 let converged t = Array.for_all Simnet.Stability.is_stable t.stabs
 let interval_scale t = t.scale
 
@@ -505,3 +508,38 @@ let export_metrics ?(extra = []) t ~prefix m =
       let layer = if Array.length t.stabs = 1 then "" else Printf.sprintf ".layer%d" (i + 1) in
       Simnet.Stability.export_metrics ~prefix:(prefix ^ layer ^ ".stability") s m)
     t.stabs
+
+type overlay = {
+  engine : Engine.t;
+  depth : int;
+  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
+  fail : int -> unit;
+  lookup : origin:int -> key:Id.t -> (peer option -> unit) -> unit;
+  node_id : int -> Id.t;
+  is_member : int -> bool;
+  live_members : unit -> int list;
+  predecessor : int -> int option;
+  successor : int -> int option;
+  successors : int -> int list;
+  stability : layer:int -> Simnet.Stability.t;
+  converged : unit -> bool;
+  maintenance_ops : unit -> int;
+}
+
+let overlay t ~join ~lookup ~maintenance_ops =
+  {
+    engine = t.eng;
+    depth = Array.length t.stabs;
+    join;
+    fail = fail_node t;
+    lookup;
+    node_id = node_id t;
+    is_member = is_member t;
+    live_members = (fun () -> live_members t);
+    predecessor = (fun a -> predecessor_addr t a ~layer:1);
+    successor = (fun a -> successor_addr t a ~layer:1);
+    successors = (fun a -> successor_list_addrs t a ~layer:1);
+    stability = stability t;
+    converged = (fun () -> converged t);
+    maintenance_ops;
+  }

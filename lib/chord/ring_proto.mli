@@ -28,6 +28,10 @@
     stable, up to [backoff_max], and snaps back on any change or lifecycle
     event.
 
+    {b Overlay.} {!overlay} is the one uniform view of a running protocol
+    (global-ring pointers, lookup, lifecycle, convergence) that the store
+    and the experiments drive; each protocol adapts itself once.
+
     Every [Engine.send] / [Engine.timer] is issued in a fixed order per
     operation: engine sequence numbers and loss draws depend on it. *)
 
@@ -90,6 +94,8 @@ val engine : 'x t -> Simnet.Engine.t
 val config : 'x t -> config
 val nodes : 'x t -> (int, 'x node) Hashtbl.t
 val stability : 'x t -> layer:int -> Simnet.Stability.t
+(** The layer's detector. Raises [Invalid_argument] outside [1 .. depth]. *)
+
 val converged : 'x t -> bool
 val interval_scale : 'x t -> float
 val maintenance_ops : 'x t -> int
@@ -220,3 +226,39 @@ val export_metrics : ?extra:(string * int) list -> 'x t -> prefix:string -> Obs.
 (** As {!Protocol.export_metrics}, with each [extra] counter exported
     before [total] and counted in it; with more than one layer the
     detectors go under [<prefix>.layer<k>.stability]. *)
+
+(** {2 The overlay view} *)
+
+type overlay = {
+  engine : Simnet.Engine.t;
+  depth : int;  (** rings per node; 1 for Chord *)
+  join : addr:int -> id:Hashid.Id.t -> bootstrap:int -> unit;
+  fail : int -> unit;  (** {!fail_node} *)
+  lookup : origin:int -> key:Hashid.Id.t -> (peer option -> unit) -> unit;
+      (** the protocol's own lookup, answering the owner; [None] after its
+          retries *)
+  node_id : int -> Hashid.Id.t;
+  is_member : int -> bool;
+  live_members : unit -> int list;
+  predecessor : int -> int option;  (** global-ring (layer 1) predecessor *)
+  successor : int -> int option;  (** global-ring successor *)
+  successors : int -> int list;  (** global-ring successor list *)
+  stability : layer:int -> Simnet.Stability.t;  (** {!stability} *)
+  converged : unit -> bool;
+  maintenance_ops : unit -> int;
+}
+(** The one uniform view of a running protocol, whatever its depth: what
+    the replicated store, the soak and the cache experiment drive. Every
+    pointer is a global-ring pointer, because ownership is decided on the
+    global ring (paper §3.3); the lower rings only shorten the route that
+    [lookup] takes to it. *)
+
+val overlay :
+  'x t ->
+  join:(addr:int -> id:Hashid.Id.t -> bootstrap:int -> unit) ->
+  lookup:(origin:int -> key:Hashid.Id.t -> (peer option -> unit) -> unit) ->
+  maintenance_ops:(unit -> int) ->
+  overlay
+(** Every field from this core's own functions except the three the
+    protocol supplies: its join sequence, its lookup, and its maintenance
+    count (HIERAS adds its ring-table duties to the core's). *)

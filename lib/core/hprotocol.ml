@@ -3,38 +3,12 @@ module Engine = Simnet.Engine
 module Netspan = Obs.Netspan
 module R = Chord.Ring_proto
 
-type config = {
-  space : Id.space;
-  depth : int;
-  stabilize_every : float;
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;
-  succ_list_len : int;
-  rpc_timeout : float;
-  lookup_retries : int;
-  ring_check_every : float;
-  stability_k : int;
-  adaptive : bool;
-  backoff_max : float;
-}
+type config = { ring : Chord.Protocol.config; depth : int }
 
-let default_config space ~depth =
-  {
-    space;
-    depth;
-    stabilize_every = 500.0;
-    fix_fingers_every = 500.0;
-    check_pred_every = 1000.0;
-    fingers_per_round = 8;
-    succ_list_len = 4;
-    rpc_timeout = 2000.0;
-    lookup_retries = 3;
-    ring_check_every = 2000.0;
-    stability_k = 3;
-    adaptive = false;
-    backoff_max = 8.0;
-  }
+let default_config space ~depth = { ring = Chord.Protocol.default_config space; depth }
+
+(* ms between ring-table liveness / migration checks and ring refreshes *)
+let ring_check_every = 2000.0
 
 (* HIERAS-specific node state; the per-layer Chord rings live in the core *)
 type ext = {
@@ -71,24 +45,9 @@ let create ?(ts = Obs.Timeseries.disabled) cfg eng ~lat ~landmarks =
         Obs.Timeseries.set s ~at (float_of_int (List.length (List.sort_uniq compare names))))
       ts_rings
   in
-  let ring_cfg =
-    {
-      R.space = cfg.space;
-      stabilize_every = cfg.stabilize_every;
-      fix_fingers_every = cfg.fix_fingers_every;
-      check_pred_every = cfg.check_pred_every;
-      fingers_per_round = cfg.fingers_per_round;
-      succ_list_len = cfg.succ_list_len;
-      rpc_timeout = cfg.rpc_timeout;
-      lookup_retries = cfg.lookup_retries;
-      stability_k = cfg.stability_k;
-      adaptive = cfg.adaptive;
-      backoff_max = cfg.backoff_max;
-    }
-  in
   {
     cfg;
-    core = R.create ~ts ~gauges ~who:"Hprotocol" ~name:"hieras" ~depth:cfg.depth ring_cfg eng;
+    core = R.create ~ts ~gauges ~who:"Hprotocol" ~name:"hieras" ~depth:cfg.depth cfg.ring eng;
     lat;
     landmarks;
     chain = Binning.Scheme.refinement_chain ~depth:cfg.depth;
@@ -98,9 +57,7 @@ let create ?(ts = Obs.Timeseries.disabled) cfg eng ~lat ~landmarks =
 let engine t = R.engine t.core
 let config t = t.cfg
 
-let stability t ~layer =
-  if layer < 1 || layer > t.cfg.depth then invalid_arg "Hprotocol.stability: layer out of range";
-  R.stability t.core ~layer
+let stability t ~layer = R.stability t.core ~layer
 
 let converged_layer t ~layer = Simnet.Stability.is_stable (stability t ~layer)
 let converged t = R.converged t.core
@@ -181,7 +138,7 @@ let register_at t mpn rname (pn : pnode) =
       ignore (Ring_table.register rt me);
       Ring_table.entries rt
   | None ->
-      store_ring_table mpn (Ring_table.of_members t.cfg.space rname [ me ]);
+      store_ring_table mpn (Ring_table.of_members t.cfg.ring.space rname [ me ]);
       []
 
 (* The manager checks liveness of recorded nodes, refills from a survivor's
@@ -246,7 +203,7 @@ let rec ring_table_duty t (pn : pnode) =
           end)
         ~failed:(fun () -> ()))
     tables;
-  R.rearm t.core pn t.cfg.ring_check_every (fun () -> ring_table_duty t pn)
+  R.rearm t.core pn ring_check_every (fun () -> ring_table_duty t pn)
 
 (* Ring unification: concurrent joiners may read a stale ring table and boot
    a private one-node ring. Periodically every node re-reads its rings'
@@ -257,7 +214,7 @@ let rec ring_table_duty t (pn : pnode) =
 let rec ring_refresh t (pn : pnode) =
   for layer = 2 to t.cfg.depth do
     let rname = ring_name_of pn ~layer in
-    let rid = Ring_name.ring_id t.cfg.space rname in
+    let rid = Ring_name.ring_id t.cfg.ring.space rname in
     maint_ring t;
     R.find_successor t.core ~kind:Netspan.Ring ~src:pn.addr ~layer:1 ~key:rid ~retries:0
       ~ok:(fun manager _ ->
@@ -287,15 +244,15 @@ let rec ring_refresh t (pn : pnode) =
           ~timeout:(fun () -> ()))
       ~failed:(fun () -> ())
   done;
-  R.rearm t.core pn t.cfg.ring_check_every (fun () -> ring_refresh t pn)
+  R.rearm t.core pn ring_check_every (fun () -> ring_refresh t pn)
 
 (* ---- lifecycle ---------------------------------------------------------- *)
 
 let start_maintenance t (pn : pnode) =
   R.start_rings t.core pn;
-  Engine.timer (engine t) ~node:pn.addr ~delay:t.cfg.ring_check_every (fun () ->
+  Engine.timer (engine t) ~node:pn.addr ~delay:ring_check_every (fun () ->
       ring_table_duty t pn);
-  Engine.timer (engine t) ~node:pn.addr ~delay:(1.5 *. t.cfg.ring_check_every) (fun () ->
+  Engine.timer (engine t) ~node:pn.addr ~delay:(1.5 *. ring_check_every) (fun () ->
       ring_refresh t pn)
 
 let measure_orders t ~addr =
@@ -320,7 +277,7 @@ let spawn t ~addr ~id =
 let join_lower_layer t (pn : pnode) ~layer ~and_then =
   let rname = ring_name_of pn ~layer in
   let key = Ring_name.to_string rname in
-  let rid = Ring_name.ring_id t.cfg.space rname in
+  let rid = Ring_name.ring_id t.cfg.ring.space rname in
   let r = R.ring pn ~layer in
   let register_with manager_addr =
     R.post t.core ~kind:Netspan.Join ~src:pn.addr ~dst:manager_addr (fun mpn ->
@@ -334,7 +291,7 @@ let join_lower_layer t (pn : pnode) ~layer ~and_then =
   in
   (* route to the manager of this ring's table on the top layer *)
   R.find_successor t.core ~kind:Netspan.Join ~src:pn.addr ~layer:1 ~key:rid
-    ~retries:t.cfg.lookup_retries
+    ~retries:t.cfg.ring.lookup_retries
     ~ok:(fun manager _ ->
       R.ask t.core ~kind:Netspan.Join ~src:pn.addr ~dst:manager.paddr
         ~service:(fun mpn -> Option.map Ring_table.entries (stored_table mpn key))
@@ -355,7 +312,7 @@ let join_lower_layer t (pn : pnode) ~layer ~and_then =
                           r.succs <- [ succ ];
                           if
                             Ring_table.should_register
-                              (Ring_table.of_members t.cfg.space rname entries)
+                              (Ring_table.of_members t.cfg.ring.space rname entries)
                               pn.id
                           then register_with manager.paddr;
                           and_then ()
@@ -457,7 +414,14 @@ let lookup t ~origin ~key k =
                   k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops })))
       ~expired:(fun () -> if budget > 0 then attempt (budget - 1) else k None)
   in
-  attempt t.cfg.lookup_retries
+  attempt t.cfg.ring.lookup_retries
+
+let overlay t =
+  R.overlay t.core ~join:(join t)
+    ~maintenance_ops:(fun () -> maintenance_ops t)
+    ~lookup:(fun ~origin ~key k ->
+      lookup t ~origin ~key (fun r ->
+          k (Option.map (fun o -> { R.paddr = o.owner_addr; pid = o.owner_id }) r)))
 
 let export_metrics ?(prefix = "hieras.protocol") t m =
   R.export_metrics ~extra:[ ("ring", t.maint_ring) ] t.core ~prefix m

@@ -29,28 +29,16 @@
     joins with stale tables can create. *)
 
 type config = {
-  space : Hashid.Id.space;
+  ring : Chord.Protocol.config;
+      (** every layer's ring maintenance: the same knobs, defaults and
+          validation as a Chord ring ({!Chord.Protocol.config}) *)
   depth : int;  (** >= 2 *)
-  stabilize_every : float;
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;
-  succ_list_len : int;
-  rpc_timeout : float;
-  lookup_retries : int;
-  ring_check_every : float;  (** ring-table liveness / migration period *)
-  stability_k : int;
-      (** consecutive unchanged fingerprint probes (per layer) before that
-          layer is declared converged (default 3, must be >= 1) *)
-  adaptive : bool;
-      (** back off maintenance intervals while every layer is converged
-          (default false — fixed cadence, byte-compatible with earlier
-          versions) *)
-  backoff_max : float;
-      (** cap on the adaptive interval multiplier (default 8.0, >= 1) *)
 }
+(** Ring-table liveness checks, migration checks and ring refreshes run
+    every 2000 ms, scaled like every other duty by the adaptive backoff. *)
 
 val default_config : Hashid.Id.space -> depth:int -> config
+(** [Chord.Protocol.default_config] rings. *)
 
 type t
 
@@ -100,6 +88,11 @@ val lookup :
 (** Hierarchical lookup: lower-ring loops first, early-exit via the global
     successor check, global loop last. [None] after all retries time out. *)
 
+val overlay : t -> Chord.Ring_proto.overlay
+(** The uniform {!Chord.Ring_proto.overlay} view: global-ring pointers,
+    the hierarchical {!lookup}, and {!maintenance_ops} with the ring-table
+    duties counted. *)
+
 (** {2 Introspection (tests and examples)} *)
 
 val is_member : t -> int -> bool
@@ -137,7 +130,8 @@ val live_members : t -> int list
     and engages only while {e every} layer is stable. *)
 
 val stability : t -> layer:int -> Simnet.Stability.t
-(** The layer's detector, [layer] in [1 .. depth] (1 = global). *)
+(** The layer's detector, [layer] in [1 .. depth] (1 = global);
+    {!Chord.Ring_proto.stability}. *)
 
 val converged_layer : t -> layer:int -> bool
 val converged : t -> bool

@@ -170,14 +170,6 @@ let spaced_victims ~members_by_id ~frac ~r =
     pick 0 k []
   end
 
-(* Uniform view of the two protocols: what the cache driver itself needs
-   beyond the store's substrate. *)
-type proto = {
-  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
-  fail : int -> unit;
-  sub : Kv.substrate;
-}
-
 (* One cell. [fi] is the (replication, alpha) pair index: every rng is
    seeded from (spec.seed, fi) only, so the chord and hieras cells of one
    pair see the identical topology, catalogue, origins and fault draw. *)
@@ -198,40 +190,27 @@ let run_cell spec ~fi ~r ~alpha ~algo =
         Printf.sprintf "%s.r%d.a%s" (algo_name algo) r (Obs.Jsonu.float_repr alpha)
       in
       Engine.attach_netspan eng (Obs.Netspan.jsonl ~ctx ~sample:rate (Buffer.add_string net_buf)));
+  let ring = { (Chord.Protocol.default_config space) with succ_list_len = max 4 r } in
   let p =
     match algo with
     | Chord_ring ->
-        let cfg =
-          { (Chord.Protocol.default_config space) with succ_list_len = max 4 r }
-        in
-        let c = Chord.Protocol.create cfg eng in
+        let c = Chord.Protocol.create ring eng in
         Chord.Protocol.spawn c ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Chord.Protocol.join c ~addr ~id ~bootstrap);
-          fail = (fun a -> Chord.Protocol.fail_node c a);
-          sub = Kv.chord_substrate c;
-        }
+        Chord.Protocol.overlay c
     | Hieras_rings ->
         let lms =
           Binning.Landmark.choose_spread lat ~count:spec.landmarks
             (Prng.Rng.create ~seed:(spec.seed + 5))
         in
-        let cfg =
-          { (Hieras.Hprotocol.default_config space ~depth:spec.depth) with succ_list_len = max 4 r }
-        in
-        let h = Hieras.Hprotocol.create cfg eng ~lat ~landmarks:lms in
+        let h = Hieras.Hprotocol.create { ring; depth = spec.depth } eng ~lat ~landmarks:lms in
         Hieras.Hprotocol.spawn h ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Hieras.Hprotocol.join h ~addr ~id ~bootstrap);
-          fail = (fun a -> Hieras.Hprotocol.fail_node h a);
-          sub = Kv.hieras_substrate h;
-        }
+        Hieras.Hprotocol.overlay h
   in
   for i = 1 to spec.pool - 1 do
     Engine.schedule eng ~delay:(float_of_int i *. 400.0) (fun () ->
         p.join ~addr:i ~id:(id_of i) ~bootstrap:0)
   done;
-  let kv = Kv.create { Kv.default_config with replication = r } p.sub in
+  let kv = Kv.create { Kv.default_config with replication = r } p in
   for i = 0 to spec.pool - 1 do
     Kv.track kv i
   done;
@@ -255,7 +234,7 @@ let run_cell spec ~fi ~r ~alpha ~algo =
   let put_rng = Prng.Rng.create ~seed:(spec.seed + 50021 + fi) in
   for i = 0 to spec.objects - 1 do
     Engine.schedule eng ~delay:(settle +. (float_of_int i *. put_every_ms)) (fun () ->
-        match p.sub.Kv.live_members () with
+        match p.Kv.live_members () with
         | [] -> ()
         | members ->
             let arr = Array.of_list members in
@@ -277,7 +256,7 @@ let run_cell spec ~fi ~r ~alpha ~algo =
   | Crash ->
       let frng = Prng.Rng.create ~seed:(spec.seed + 90001 + fi) in
       Engine.schedule eng ~delay:t_fault (fun () ->
-          let members = Array.of_list (p.sub.Kv.live_members ()) in
+          let members = Array.of_list (p.Kv.live_members ()) in
           let n = Array.length members in
           let k = int_of_float (spec.fault_frac *. float_of_int n) in
           let victims = Prng.Dist.sample_without_replacement frng k n in
@@ -289,8 +268,8 @@ let run_cell spec ~fi ~r ~alpha ~algo =
   | Spaced ->
       Engine.schedule eng ~delay:t_fault (fun () ->
           let members_by_id =
-            p.sub.Kv.live_members ()
-            |> List.sort (fun a b -> Id.compare (p.sub.Kv.node_id a) (p.sub.Kv.node_id b))
+            p.Kv.live_members ()
+            |> List.sort (fun a b -> Id.compare (p.Kv.node_id a) (p.Kv.node_id b))
             |> Array.of_list
           in
           List.iter
@@ -319,7 +298,7 @@ let run_cell spec ~fi ~r ~alpha ~algo =
                deterministic, so the stream replays identically *)
             let rec live_origin a tries =
               if tries = 0 then None
-              else if p.sub.Kv.is_member a then Some a
+              else if p.Kv.is_member a then Some a
               else live_origin ((a + 1) mod spec.pool) (tries - 1)
             in
             match live_origin req.Webcache.origin spec.pool with
@@ -376,7 +355,7 @@ let run_cell spec ~fi ~r ~alpha ~algo =
     expirations;
     hot_objects = hot;
     killed = !killed;
-    final_members = List.length (p.sub.Kv.live_members ());
+    final_members = List.length (p.Kv.live_members ());
     net_trace = Buffer.contents net_buf;
   }
 

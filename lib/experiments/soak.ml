@@ -13,6 +13,7 @@ module Engine = Simnet.Engine
 module Id = Hashid.Id
 module Churn = Workload.Churn
 module Faults = Workload.Faults
+module R = Chord.Ring_proto
 
 type algo = Chord_ring | Hieras_rings
 
@@ -116,26 +117,11 @@ type results = { spec : spec; cells : cell list }
 let settle_ms spec = (float_of_int spec.initial *. 400.0) +. 15_000.0
 let cooldown_ms = 30_000.0
 
-(* Uniform view of the two protocols: only what the soak driver touches. *)
-type proto = {
-  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
-  fail : int -> unit;
-  is_member : int -> bool;
-  live : unit -> int list;
-  node_id : int -> Id.t;
-  global_succ : int -> int option;
-  lookup : origin:int -> key:Id.t -> (Id.t option -> unit) -> unit;
-  maintenance_ops : unit -> int;
-  convergence_stats : unit -> int * int * float;
-      (* convergences, disturbances, total converging ms *)
-  converged : unit -> bool;
-}
-
 (* The global ring is correct when every live node's successor pointer is
    the next live node in identifier order — the ideal ring over the
    population alive at the audit instant. *)
-let ring_correct p =
-  match p.live () with
+let ring_correct (p : R.overlay) =
+  match p.live_members () with
   | [] | [ _ ] -> true
   | members ->
       let sorted =
@@ -145,7 +131,7 @@ let ring_correct p =
       let n = Array.length arr in
       let ok = ref true in
       for i = 0 to n - 1 do
-        if p.global_succ arr.(i) <> Some arr.((i + 1) mod n) then ok := false
+        if p.successor arr.(i) <> Some arr.((i + 1) mod n) then ok := false
       done;
       !ok
 
@@ -184,71 +170,21 @@ let run_cell spec ~fi ~factor ~algo =
   | Some r ->
       let ctx = Printf.sprintf "%s.x%s" (algo_name algo) (Obs.Jsonu.float_repr factor) in
       Engine.attach_netspan eng (Obs.Netspan.jsonl ~ctx ~sample:r (Buffer.add_string net_buf)));
+  let ring = { (Chord.Protocol.default_config space) with adaptive = spec.adaptive } in
   let p =
     match algo with
     | Chord_ring ->
-        let cfg =
-          { (Chord.Protocol.default_config space) with adaptive = spec.adaptive }
-        in
-        let c = Chord.Protocol.create ~ts cfg eng in
+        let c = Chord.Protocol.create ~ts ring eng in
         Chord.Protocol.spawn c ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Chord.Protocol.join c ~addr ~id ~bootstrap);
-          fail = (fun a -> Chord.Protocol.fail_node c a);
-          is_member = (fun a -> Chord.Protocol.is_member c a);
-          live = (fun () -> Chord.Protocol.live_members c);
-          node_id = (fun a -> Chord.Protocol.node_id c a);
-          global_succ = (fun a -> Chord.Protocol.successor_addr c a);
-          lookup =
-            (fun ~origin ~key k ->
-              Chord.Protocol.lookup c ~origin ~key (fun r ->
-                  k (Option.map (fun o -> o.Chord.Protocol.owner_id) r)));
-          maintenance_ops = (fun () -> Chord.Protocol.maintenance_ops c);
-          convergence_stats =
-            (fun () ->
-              let s = Chord.Protocol.stability c in
-              ( Simnet.Stability.convergences s,
-                Simnet.Stability.disturbances s,
-                Simnet.Stability.total_convergence_ms s ));
-          converged = (fun () -> Chord.Protocol.converged c);
-        }
+        Chord.Protocol.overlay c
     | Hieras_rings ->
         let lms =
           Binning.Landmark.choose_spread lat ~count:spec.landmarks
             (Prng.Rng.create ~seed:(spec.seed + 5))
         in
-        let cfg =
-          {
-            (Hieras.Hprotocol.default_config space ~depth:spec.depth) with
-            adaptive = spec.adaptive;
-          }
-        in
-        let h = Hieras.Hprotocol.create ~ts cfg eng ~lat ~landmarks:lms in
+        let h = Hieras.Hprotocol.create ~ts { ring; depth = spec.depth } eng ~lat ~landmarks:lms in
         Hieras.Hprotocol.spawn h ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Hieras.Hprotocol.join h ~addr ~id ~bootstrap);
-          fail = (fun a -> Hieras.Hprotocol.fail_node h a);
-          is_member = (fun a -> Hieras.Hprotocol.is_member h a);
-          live = (fun () -> Hieras.Hprotocol.live_members h);
-          node_id = (fun a -> Hieras.Hprotocol.node_id h a);
-          global_succ = (fun a -> Hieras.Hprotocol.successor_addr h a ~layer:1);
-          lookup =
-            (fun ~origin ~key k ->
-              Hieras.Hprotocol.lookup h ~origin ~key (fun r ->
-                  k (Option.map (fun o -> o.Hieras.Hprotocol.owner_id) r)));
-          maintenance_ops = (fun () -> Hieras.Hprotocol.maintenance_ops h);
-          convergence_stats =
-            (fun () ->
-              let c = ref 0 and d = ref 0 and total = ref 0.0 in
-              for layer = 1 to spec.depth do
-                let s = Hieras.Hprotocol.stability h ~layer in
-                c := !c + Simnet.Stability.convergences s;
-                d := !d + Simnet.Stability.disturbances s;
-                total := !total +. Simnet.Stability.total_convergence_ms s
-              done;
-              (!c, !d, !total));
-          converged = (fun () -> Hieras.Hprotocol.converged h);
-        }
+        Hieras.Hprotocol.overlay h
   in
   (* initial population joins sequentially, then settles *)
   for i = 1 to spec.initial - 1 do
@@ -278,7 +214,7 @@ let run_cell spec ~fi ~factor ~algo =
               (* a host the fault schedule crashed stays down until it is
                  revived: it cannot start a join while dead *)
               if (not (p.is_member e.Churn.node)) && Engine.is_alive eng e.Churn.node then begin
-                match p.live () with
+                match p.live_members () with
                 | b :: _ -> p.join ~addr:e.Churn.node ~id:(id_of e.Churn.node) ~bootstrap:b
                 | [] -> ()
               end
@@ -308,7 +244,7 @@ let run_cell spec ~fi ~factor ~algo =
         let correct = ring_correct p in
         if correct then incr ring_ok;
         Obs.Timeseries.set ts_ring ~at (if correct then 1.0 else 0.0);
-        match p.live () with
+        match p.live_members () with
         | [] -> ()
         | members ->
             let arr = Array.of_list members in
@@ -319,9 +255,9 @@ let run_cell spec ~fi ~factor ~algo =
             p.lookup ~origin ~key (fun r ->
                 match r with
                 | None -> ()
-                | Some owner_id ->
+                | Some { R.pid = owner_id; _ } ->
                     if
-                      List.exists (fun m -> Id.equal (p.node_id m) owner_id) (p.live ())
+                      List.exists (fun m -> Id.equal (p.node_id m) owner_id) (p.live_members ())
                     then begin
                       incr ok;
                       Obs.Timeseries.add ts_ok ~at:(Engine.now eng) 1.0
@@ -331,7 +267,16 @@ let run_cell spec ~fi ~factor ~algo =
   Engine.run ~until:sim_ms eng;
   let messages = Engine.sent eng in
   let maint_ops = p.maintenance_ops () in
-  let convergences, disturbances, total_conv = p.convergence_stats () in
+  let convergences, disturbances, total_conv =
+    List.fold_left
+      (fun (c, d, total) layer ->
+        let s = p.stability ~layer in
+        ( c + Simnet.Stability.convergences s,
+          d + Simnet.Stability.disturbances s,
+          total +. Simnet.Stability.total_convergence_ms s ))
+      (0, 0, 0.0)
+      (List.init p.depth (fun i -> i + 1))
+  in
   let per_s v = float_of_int v /. (sim_ms /. 1000.0) in
   {
     algo = algo_name algo;
@@ -351,7 +296,7 @@ let run_cell spec ~fi ~factor ~algo =
     mean_convergence_ms =
       (if convergences = 0 then 0.0 else total_conv /. float_of_int convergences);
     converged_at_end = p.converged ();
-    final_members = List.length (p.live ());
+    final_members = List.length (p.live_members ());
     series_json = Obs.Timeseries.to_json ts;
     net_trace = Buffer.contents net_buf;
   }

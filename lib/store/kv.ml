@@ -2,51 +2,27 @@ module Id = Hashid.Id
 module Engine = Simnet.Engine
 module Netspan = Obs.Netspan
 
-type substrate = {
-  sub_name : string;
+module R = Chord.Ring_proto
+
+type substrate = R.overlay = {
   engine : Engine.t;
-  space : Id.space;
-  lookup : origin:int -> key:Id.t -> (int option -> unit) -> unit;
+  depth : int;
+  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
+  fail : int -> unit;
+  lookup : origin:int -> key:Id.t -> (R.peer option -> unit) -> unit;
   node_id : int -> Id.t;
-  predecessor : int -> int option;
-  successors : int -> int list;
   is_member : int -> bool;
   live_members : unit -> int list;
+  predecessor : int -> int option;
+  successor : int -> int option;
+  successors : int -> int list;
+  stability : layer:int -> Simnet.Stability.t;
+  converged : unit -> bool;
+  maintenance_ops : unit -> int;
 }
 
-let chord_substrate c =
-  {
-    sub_name = "chord";
-    engine = Chord.Protocol.engine c;
-    space = (Chord.Protocol.config c).Chord.Protocol.space;
-    lookup =
-      (fun ~origin ~key k ->
-        Chord.Protocol.lookup c ~origin ~key (fun out ->
-            k (Option.map (fun o -> o.Chord.Protocol.owner_addr) out)));
-    node_id = (fun a -> Chord.Protocol.node_id c a);
-    predecessor = (fun a -> Chord.Protocol.predecessor_addr c a);
-    successors = (fun a -> Chord.Protocol.successor_list_addrs c a);
-    is_member = (fun a -> Chord.Protocol.is_member c a);
-    live_members = (fun () -> Chord.Protocol.live_members c);
-  }
-
-(* Ownership is a global-ring notion; HIERAS binds its layer-1 pointers.
-   The locality rings still matter — they are what the lookup path uses. *)
-let hieras_substrate h =
-  {
-    sub_name = "hieras";
-    engine = Hieras.Hprotocol.engine h;
-    space = (Hieras.Hprotocol.config h).Hieras.Hprotocol.space;
-    lookup =
-      (fun ~origin ~key k ->
-        Hieras.Hprotocol.lookup h ~origin ~key (fun out ->
-            k (Option.map (fun o -> o.Hieras.Hprotocol.owner_addr) out)));
-    node_id = (fun a -> Hieras.Hprotocol.node_id h a);
-    predecessor = (fun a -> Hieras.Hprotocol.predecessor_addr h a ~layer:1);
-    successors = (fun a -> Hieras.Hprotocol.successor_list_addrs h a ~layer:1);
-    is_member = (fun a -> Hieras.Hprotocol.is_member h a);
-    live_members = (fun () -> Hieras.Hprotocol.live_members h);
-  }
+let chord_substrate = Chord.Protocol.overlay
+let hieras_substrate = Hieras.Hprotocol.overlay
 
 type config = {
   replication : int;
@@ -226,7 +202,7 @@ let put t ~origin ~key ~value ?bytes k =
     if not (t.sub.is_member origin) then k None
     else
       t.sub.lookup ~origin ~key (function
-        | Some owner when t.sub.is_member owner && t.sub.is_member origin ->
+        | Some { R.paddr = owner; _ } when t.sub.is_member owner && t.sub.is_member origin ->
             rpc t ~kind:Netspan.Store_put ~src:origin ~dst:owner
               ~timeout:(2.0 *. t.cfg.rpc_timeout)
               ~handler:(fun ~reply -> owner_put t owner ~key ~value ~bytes ~client:origin ~reply)
@@ -329,7 +305,7 @@ let get t ~origin ~key k =
     if not (t.sub.is_member origin) then fail ()
     else
       t.sub.lookup ~origin ~key (function
-        | Some owner when t.sub.is_member owner && t.sub.is_member origin ->
+        | Some { R.paddr = owner; _ } when t.sub.is_member owner && t.sub.is_member origin ->
             rpc t ~kind:Netspan.Store_get ~src:origin ~dst:owner
               ~timeout:(2.0 *. t.cfg.rpc_timeout)
               ~handler:(fun ~reply -> owner_get t owner ~key ~reply)
@@ -372,7 +348,7 @@ let delete t ~origin ~key k =
     if not (t.sub.is_member origin) then k None
     else
       t.sub.lookup ~origin ~key (function
-        | Some owner when t.sub.is_member owner && t.sub.is_member origin ->
+        | Some { R.paddr = owner; _ } when t.sub.is_member owner && t.sub.is_member origin ->
             rpc t ~kind:Netspan.Store_delete ~src:origin ~dst:owner
               ~handler:(fun ~reply -> owner_delete t owner ~key ~reply)
               ~on_reply:(fun existed -> k (Some existed))
@@ -396,7 +372,8 @@ let refresh_replicas t a ~key ~entry =
 let handoff t a ~key =
   t.n_handoffs <- t.n_handoffs + 1;
   t.sub.lookup ~origin:a ~key (function
-    | Some owner when owner <> a && t.sub.is_member owner && t.sub.is_member a -> (
+    | Some { R.paddr = owner; _ }
+      when owner <> a && t.sub.is_member owner && t.sub.is_member a -> (
         match Hashtbl.find_opt t.nodes a with
         | None -> ()
         | Some st -> (
@@ -419,7 +396,7 @@ let handoff t a ~key =
    degenerates to a plain prune plus one message. *)
 let prune_replica t a ~key =
   t.sub.lookup ~origin:a ~key (function
-    | Some owner when t.sub.is_member owner && t.sub.is_member a -> (
+    | Some { R.paddr = owner; _ } when t.sub.is_member owner && t.sub.is_member a -> (
         match Hashtbl.find_opt t.nodes a with
         | None -> ()
         | Some st -> (

@@ -4,8 +4,9 @@
     The overlay routes; this module makes it {e store}. Objects live at
     the key's owner — the node whose [(predecessor, self]] arc contains
     the key — with copies on the owner's first [r - 1] live successors,
-    DistHash-style successor-list replication. Everything is driven by
-    the same discrete-event engine as the protocols themselves: [put],
+    DistHash-style successor-list replication. The store sees a protocol
+    only through its {!substrate}, the one view both protocols give of
+    themselves, and is driven by the same discrete-event engine: [put],
     [get] and [delete] are RPCs routed to the owner via the protocol's
     own lookup path, replication legs are engine sends labelled with the
     store {!Obs.Netspan.kind}s, and re-replication is a periodic scan
@@ -46,27 +47,33 @@
 
 (** {2 Substrates} *)
 
-type substrate = {
-  sub_name : string;  (** ["chord"] or ["hieras"] — report labels *)
+type substrate = Chord.Ring_proto.overlay = {
   engine : Simnet.Engine.t;
-  space : Hashid.Id.space;
-  lookup : origin:int -> key:Hashid.Id.t -> (int option -> unit) -> unit;
-      (** route to the owner's address; [None] after protocol retries *)
+  depth : int;
+  join : addr:int -> id:Hashid.Id.t -> bootstrap:int -> unit;
+  fail : int -> unit;
+  lookup : origin:int -> key:Hashid.Id.t -> (Chord.Ring_proto.peer option -> unit) -> unit;
   node_id : int -> Hashid.Id.t;
-  predecessor : int -> int option;  (** global-ring predecessor *)
-  successors : int -> int list;  (** global-ring successor list *)
   is_member : int -> bool;
   live_members : unit -> int list;
+  predecessor : int -> int option;
+  successor : int -> int option;
+  successors : int -> int list;
+  stability : layer:int -> Simnet.Stability.t;
+  converged : unit -> bool;
+  maintenance_ops : unit -> int;
 }
-(** Uniform view of a message protocol — the same record-of-closures
-    shape the soak uses, so the store is written once and instantiated
-    over both the flat and the layered overlay (the conformance
-    contract). HIERAS binds the [~layer:1] (global) pointers: ownership
-    is a global-ring notion; locality rings only accelerate the route
-    to it. *)
+(** The protocol's {!Chord.Ring_proto.overlay}, with its labels usable as
+    [Kv.]: the store is written once over it and runs unchanged over the
+    flat and the layered overlay (the conformance contract). It reads the
+    global-ring pointers only, since ownership is a global-ring notion;
+    HIERAS's locality rings still shorten every routed operation. *)
 
 val chord_substrate : Chord.Protocol.t -> substrate
+(** [Chord.Protocol.overlay]. *)
+
 val hieras_substrate : Hieras.Hprotocol.t -> substrate
+(** [Hieras.Hprotocol.overlay]. *)
 
 (** {2 Configuration} *)
 

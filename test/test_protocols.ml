@@ -425,7 +425,7 @@ let test_chord_conforms_to_network () =
 let test_hieras_conforms_per_layer () =
   let n = 24 and depth = 2 in
   let _, _, p = build_hieras ~hosts:n ~depth 34 in
-  let sll = (HP.config p).HP.succ_list_len in
+  let sll = (HP.config p).HP.ring.CP.succ_list_len in
   Alcotest.(check bool) "all layers converged" true (HP.converged p);
   for layer = 1 to depth do
     (* partition the membership into this layer's rings; layer 1 is the one
@@ -647,7 +647,11 @@ let hieras_sliced ~seed ~depth ~adaptive =
   let n = 24 in
   let lat, eng = sliced_world seed in
   let lm = Binning.Landmark.choose_spread lat ~count:3 (Prng.Rng.create ~seed:(seed + 2)) in
-  let p = HP.create { (HP.default_config space ~depth) with adaptive } eng ~lat ~landmarks:lm in
+  let p =
+    HP.create
+      { (HP.default_config space ~depth) with ring = { (CP.default_config space) with adaptive } }
+      eng ~lat ~landmarks:lm
+  in
   let id = ids n in
   HP.spawn p ~addr:0 ~id:id.(0);
   for i = 1 to n - 1 do
@@ -700,6 +704,186 @@ let test_hieras_sliced_depth3 () =
   check_layer_fps "hieras depth-3" p
     [ (1, 2004833418836208969); (2, 1238193117219221239); (3, 722502489793704136) ]
 
+(* --- the overlay view ------------------------------------------------------ *)
+
+module R = Chord.Ring_proto
+
+(* What a protocol instance says about itself through its own calls, for
+   comparison with its {!R.overlay}. [fps] is the routing state of every
+   layer, by {!state_fp}. *)
+type own = {
+  eng : Engine.t;
+  depth : int;
+  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
+  fail : int -> unit;
+  lookup : origin:int -> key:Id.t -> ((int * Id.t) option -> unit) -> unit;
+  is_member : int -> bool;
+  node_id : int -> Id.t;
+  live : unit -> int list;
+  pred : int -> int option;
+  succ : int -> int option;
+  succs : int -> int list;
+  stability : int -> Simnet.Stability.t;
+  converged : unit -> bool;
+  ops : unit -> int;
+  fps : unit -> int list;
+}
+
+let chord_own seed =
+  let _, eng = sliced_world seed in
+  let p = CP.create (CP.default_config space) eng in
+  CP.spawn p ~addr:0 ~id:(ids 1).(0);
+  let own =
+    {
+      eng;
+      depth = 1;
+      join = CP.join p;
+      fail = CP.fail_node p;
+      lookup =
+        (fun ~origin ~key k ->
+          CP.lookup p ~origin ~key (fun r ->
+              k (Option.map (fun o -> (o.CP.owner_addr, o.CP.owner_id)) r)));
+      is_member = CP.is_member p;
+      node_id = CP.node_id p;
+      live = (fun () -> CP.live_members p);
+      pred = CP.predecessor_addr p;
+      succ = CP.successor_addr p;
+      succs = CP.successor_list_addrs p;
+      stability = (fun _ -> CP.stability p);
+      converged = (fun () -> CP.converged p);
+      ops = (fun () -> CP.maintenance_ops p);
+      fps =
+        (fun () ->
+          [
+            state_fp ~live:(CP.live_members p) ~pred:(CP.predecessor_addr p)
+              ~succs:(CP.successor_list_addrs p) ~fingers:(CP.finger_addrs p);
+          ]);
+    }
+  in
+  (own, CP.overlay p)
+
+let hieras_own seed =
+  let depth = 2 in
+  let lat, eng = sliced_world seed in
+  let lm = Binning.Landmark.choose_spread lat ~count:3 (Prng.Rng.create ~seed:(seed + 2)) in
+  let p = HP.create (HP.default_config space ~depth) eng ~lat ~landmarks:lm in
+  HP.spawn p ~addr:0 ~id:(ids 1).(0);
+  let own =
+    {
+      eng;
+      depth;
+      join = HP.join p;
+      fail = HP.fail_node p;
+      lookup =
+        (fun ~origin ~key k ->
+          HP.lookup p ~origin ~key (fun r ->
+              k (Option.map (fun o -> (o.HP.owner_addr, o.HP.owner_id)) r)));
+      is_member = HP.is_member p;
+      node_id = HP.node_id p;
+      live = (fun () -> HP.live_members p);
+      pred = HP.predecessor_addr p ~layer:1;
+      succ = HP.successor_addr p ~layer:1;
+      succs = HP.successor_list_addrs p ~layer:1;
+      stability = (fun layer -> HP.stability p ~layer);
+      converged = (fun () -> HP.converged p);
+      ops = (fun () -> HP.maintenance_ops p);
+      fps =
+        (fun () ->
+          List.init depth (fun i ->
+              let layer = i + 1 in
+              state_fp ~live:(HP.live_members p) ~pred:(HP.predecessor_addr p ~layer)
+                ~succs:(HP.successor_list_addrs p ~layer) ~fingers:(HP.finger_addrs p ~layer)));
+    }
+  in
+  (own, HP.overlay p)
+
+let check_overlay_fields what (o : own) (ov : R.overlay) =
+  Alcotest.(check bool) (what ^ " engine") true (ov.engine == o.eng);
+  Alcotest.(check int) (what ^ " depth") o.depth ov.depth;
+  let live = o.live () in
+  Alcotest.(check (list int)) (what ^ " live_members") live (ov.live_members ());
+  List.iter
+    (fun a ->
+      let at = Printf.sprintf "%s node %d" what a in
+      Alcotest.(check bool) (at ^ " is_member") (o.is_member a) (ov.is_member a);
+      Alcotest.(check bool) (at ^ " node_id") true (Id.equal (o.node_id a) (ov.node_id a));
+      Alcotest.(check (option int)) (at ^ " predecessor") (o.pred a) (ov.predecessor a);
+      Alcotest.(check (option int)) (at ^ " successor") (o.succ a) (ov.successor a);
+      Alcotest.(check (list int)) (at ^ " successors") (o.succs a) (ov.successors a))
+    live;
+  for layer = 1 to o.depth do
+    Alcotest.(check bool)
+      (Printf.sprintf "%s layer-%d stability" what layer)
+      true
+      (ov.stability ~layer == o.stability layer)
+  done;
+  Alcotest.(check bool) (what ^ " converged") (o.converged ()) (ov.converged ());
+  Alcotest.(check int) (what ^ " maintenance_ops") (o.ops ()) (ov.maintenance_ops ())
+
+(* Twin worlds from one seed, driven in 1000 ms slices with 1% loss: twin A
+   joins, crashes and looks up through its overlay, twin B through the
+   protocol's own calls. Each lookup therefore runs in a world of its own
+   and cannot perturb the other's. Every slice, A's overlay must agree with
+   A's own accessors on every live node and both twins must hold the same
+   routing state on every layer; at the end the twins' traffic and the
+   owners their lookups named must be equal. *)
+let overlay_twins (make : int -> own * R.overlay) seed =
+  let n = 24 and id = ids 24 in
+  let a, ov = make seed and b, _ = make seed in
+  let keys = List.init 12 (fun i -> Id.of_hash space (Printf.sprintf "overlay-key-%d" i)) in
+  let answers_a = ref [] and answers_b = ref [] in
+  let origin live i = List.nth live (i mod List.length live) in
+  for i = 1 to n - 1 do
+    let delay = float_of_int i *. 250.0 in
+    Engine.schedule a.eng ~delay (fun () -> ov.join ~addr:i ~id:id.(i) ~bootstrap:0);
+    Engine.schedule b.eng ~delay (fun () -> b.join ~addr:i ~id:id.(i) ~bootstrap:0)
+  done;
+  Engine.schedule a.eng ~delay:40_000.0 (fun () -> List.iter ov.fail [ 5; 11; 17 ]);
+  Engine.schedule b.eng ~delay:40_000.0 (fun () -> List.iter b.fail [ 5; 11; 17 ]);
+  Engine.schedule a.eng ~delay:50_000.0 (fun () ->
+      List.iteri
+        (fun i key ->
+          ov.lookup ~origin:(origin (ov.live_members ()) i) ~key (fun r ->
+              answers_a := (i, Option.map (fun (p : R.peer) -> (p.paddr, p.pid)) r) :: !answers_a))
+        keys);
+  Engine.schedule b.eng ~delay:50_000.0 (fun () ->
+      List.iteri
+        (fun i key ->
+          b.lookup ~origin:(origin (b.live ()) i) ~key (fun r -> answers_b := (i, r) :: !answers_b))
+        keys);
+  for k = 1 to slices do
+    let until = float_of_int k *. slice_ms in
+    Engine.run ~until a.eng;
+    Engine.run ~until b.eng;
+    let what = Printf.sprintf "slice %d" k in
+    check_overlay_fields what a ov;
+    Alcotest.(check (list int)) (what ^ " twins' routing state") (b.fps ()) (a.fps ())
+  done;
+  check_counts "twins" (engine_counts b.eng) (engine_counts a.eng);
+  let owners answers =
+    List.sort compare answers
+    |> List.map (fun (i, r) -> (i, Option.map (fun (addr, oid) -> (addr, Id.to_hex oid)) r))
+  in
+  Alcotest.(check int) "every probe lookup answered" (List.length keys) (List.length !answers_a);
+  Alcotest.(check (list (pair int (option (pair int string)))))
+    "overlay lookup names the protocol's owner" (owners !answers_b) (owners !answers_a)
+
+let test_chord_overlay () = overlay_twins chord_own 41
+let test_hieras_overlay () = overlay_twins hieras_own 42
+
+let test_overlay_stability_range () =
+  let out_of_range = Invalid_argument "Ring_proto.stability: layer out of range" in
+  List.iter
+    (fun (name, (ov : R.overlay)) ->
+      List.iter
+        (fun layer ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s layer %d" name layer)
+            out_of_range
+            (fun () -> ignore (ov.stability ~layer)))
+        [ 0; ov.depth + 1 ])
+    [ ("chord", snd (chord_own 43)); ("hieras", snd (hieras_own 44)) ]
+
 let () =
   Alcotest.run "protocols"
     [
@@ -742,5 +926,11 @@ let () =
           Alcotest.test_case "chord ring, adaptive backoff" `Slow test_chord_sliced_adaptive;
           Alcotest.test_case "hieras rings, adaptive backoff" `Slow test_hieras_sliced_adaptive;
           Alcotest.test_case "hieras depth 3" `Slow test_hieras_sliced_depth3;
+        ] );
+      ( "overlay",
+        [
+          Alcotest.test_case "chord overlay matches protocol" `Slow test_chord_overlay;
+          Alcotest.test_case "hieras overlay matches protocol" `Slow test_hieras_overlay;
+          Alcotest.test_case "stability layer range" `Quick test_overlay_stability_range;
         ] );
     ]

@@ -365,10 +365,8 @@ let test_delete_roundtrip () =
 type world = {
   w_eng : Engine.t;
   w_kv : Kv.t;
-  w_node_id : int -> Id.t;
-  w_fail : int -> unit;
+  w_ov : Kv.substrate;
   w_succ_list_len : int;
-  w_live : unit -> int list;
   w_clock : float ref;
 }
 
@@ -377,10 +375,8 @@ let chord_world ~hosts ~r seed =
   {
     w_eng = eng;
     w_kv = kv;
-    w_node_id = CP.node_id p;
-    w_fail = CP.fail_node p;
+    w_ov = Kv.substrate kv;
     w_succ_list_len = (CP.config p).CP.succ_list_len;
-    w_live = (fun () -> (Kv.substrate kv).Kv.live_members ());
     w_clock = clock;
   }
 
@@ -403,10 +399,8 @@ let hieras_world ~hosts ~r seed =
   {
     w_eng = eng;
     w_kv = kv;
-    w_node_id = HP.node_id p;
-    w_fail = HP.fail_node p;
-    w_succ_list_len = (HP.config p).HP.succ_list_len;
-    w_live = (fun () -> (Kv.substrate kv).Kv.live_members ());
+    w_ov = Kv.substrate kv;
+    w_succ_list_len = (HP.config p).HP.ring.CP.succ_list_len;
     w_clock = clock;
   }
 
@@ -417,7 +411,7 @@ let hieras_world ~hosts ~r seed =
 let store_conformance ~r (w : world) =
   let adv = advance w.w_eng w.w_clock in
   let rng = Prng.Rng.create ~seed:77 in
-  let live0 = w.w_live () in
+  let live0 = w.w_ov.Kv.live_members () in
   let nobj = 8 in
   let objs =
     List.init nobj (fun i ->
@@ -435,7 +429,7 @@ let store_conformance ~r (w : world) =
   Alcotest.(check int) "all put callbacks fired" nobj !fired;
   Alcotest.(check int) "every ack reports full replication" nobj !full;
   let check_invariant ~what live =
-    let net = oracle_over ~succ_list_len:w.w_succ_list_len w.w_node_id live in
+    let net = oracle_over ~succ_list_len:w.w_succ_list_len w.w_ov.Kv.node_id live in
     let ok () =
       List.for_all (fun (key, _) -> Kv.holders w.w_kv key = expected_holders net ~r key) objs
     in
@@ -451,10 +445,12 @@ let store_conformance ~r (w : world) =
   check_invariant ~what:"healthy" live0;
   (* spaced kills: fewer than r copies of any key lost *)
   let victims =
-    Cache_exp.spaced_victims ~members_by_id:(members_by_id w.w_node_id live0) ~frac:0.25 ~r
+    Cache_exp.spaced_victims
+      ~members_by_id:(members_by_id w.w_ov.Kv.node_id live0)
+      ~frac:0.25 ~r
   in
   Alcotest.(check bool) "schedule produced victims" true (victims <> []);
-  List.iter w.w_fail victims;
+  List.iter w.w_ov.Kv.fail victims;
   let live = List.filter (fun a -> not (List.mem a victims)) live0 in
   adv 25_000.0;
   let got = ref [] in
@@ -481,7 +477,7 @@ let store_conformance ~r (w : world) =
   Alcotest.(check (list int)) "no holders after delete" [] (Kv.holders w.w_kv dkey);
   (* and the survivors re-reach the oracle's placement *)
   let objs_left = List.tl objs in
-  let net = oracle_over ~succ_list_len:w.w_succ_list_len w.w_node_id live in
+  let net = oracle_over ~succ_list_len:w.w_succ_list_len w.w_ov.Kv.node_id live in
   let ok () =
     List.for_all
       (fun (key, _) -> Kv.holders w.w_kv key = expected_holders net ~r key)
