@@ -431,17 +431,37 @@ let cell_json c =
     c.promotions c.pruned c.items_live c.evictions c.expirations c.hot_objects c.killed
     c.final_members
 
+(* per algo x replication x skew cell: lookup latency, then unavailability
+   (an acknowledged object a get cannot reach), miss rate and put failure
+   rate *)
+let gate_metrics r =
+  List.concat_map
+    (fun c ->
+      let cell =
+        Printf.sprintf "cache.%s.r%d.a%s" c.algo c.replication (Obs.Jsonu.float_repr c.alpha)
+      in
+      let m name v = (cell ^ "." ^ name, v) in
+      let fail = Obs.Analyze.failure_rate in
+      [
+        m "latency_mean_ms" c.latency_mean_ms;
+        m "unavailability" (fail ~ok:c.served ~total:c.requests);
+        m "miss_rate" (fail ~ok:c.hits ~total:c.requests);
+        m "put_failure_rate" (fail ~ok:c.puts_acked ~total:c.puts);
+      ])
+    r.cells
+
 let results_json r =
   let s = r.spec in
   let n = Obs.Jsonu.number in
   Printf.sprintf
-    {|{"schema":"hieras-cache","pool":%d,"objects":%d,"request_stream":%d,"replication":[%s],"alphas":[%s],"fault":"%s","fault_frac":%s,"cache_entries":%d,"cache_bytes":%d,"ttl_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"seed":%d,"cells":[%s]}|}
+    {|{"schema":"hieras-cache","pool":%d,"objects":%d,"request_stream":%d,"replication":[%s],"alphas":[%s],"fault":"%s","fault_frac":%s,"cache_entries":%d,"cache_bytes":%d,"ttl_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"seed":%d,"cells":[%s],%s}|}
     s.pool s.objects s.requests
     (String.concat "," (List.map string_of_int s.replication))
     (String.concat "," (List.map n s.alphas))
     (fault_name s.fault) (n s.fault_frac) s.cache_entries s.cache_bytes (n s.ttl_ms) (n s.loss)
     s.depth s.landmarks s.seed
     (String.concat "," (List.map cell_json r.cells))
+    (Obs.Analyze.gate ~kind:"cache" (gate_metrics r))
 
 (* Cells are already in fixed (replication-major, then alpha, then algo)
    order, so the merged trace is byte-identical for any --jobs; cell_json

@@ -107,9 +107,9 @@ val export_registry : Obs.Metrics.t -> results -> unit
     [cache.<algo>.r<r>.a<alpha>.*]. *)
 
 val results_json : results -> string
-(** Deterministic single-line JSON, ["schema":"hieras-cache"] —
-    recognised by [Obs.Analyze.compare_files] and gated lower-is-better
-    on unavailability, miss rate and fetch latency. *)
+(** Deterministic single-line JSON, ["schema":"hieras-cache"], ending
+    with the ["cache"] gate ({!Obs.Analyze.gate}): per cell fetch latency,
+    unavailability, miss rate and put failure rate. *)
 
 val net_trace : results -> string
 (** Concatenated per-cell message-span JSONL (empty unless

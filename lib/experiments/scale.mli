@@ -93,12 +93,15 @@ val run :
 val results_json : result -> string
 (** One line, schema ["hieras-scale"]: structure + analytic distributions
     only — no wall times, no GC, no RSS — byte-identical for any pool width
-    and machine. Golden: [test/golden/scale_ts64.json]. *)
+    and machine, ending with the ["scale"] gate ({!Obs.Analyze.gate}: hop
+    statistics, segments, resident bytes, agreement rates). Golden:
+    [test/golden/scale_ts64.json]. *)
 
 val bench_json : ?label:string -> result -> string
 (** Schema ["hieras-scale-bench"]: build/replay wall times, µs per lookup,
-    GC words, peak RSS, with {!results_json} embedded under ["results"] —
-    the [BENCH_scale.json] artifact. *)
+    GC words, peak RSS, with {!results_json} embedded under ["results"]
+    and its gate repeated at top level — the [BENCH_scale.json]
+    artifact. *)
 
 val section : result -> Report.section
 (** Human-readable summary table for [hieras_sim scale]. *)

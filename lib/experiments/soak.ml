@@ -360,11 +360,28 @@ let cell_json c =
     c.ring_checks c.ring_ok c.convergences c.disturbances (n c.mean_convergence_ms)
     c.converged_at_end c.final_members c.series_json
 
+(* per cell: traffic rates, mean convergence time, lookup and ring failure
+   rates *)
+let gate_metrics r =
+  List.concat_map
+    (fun c ->
+      let cell = Printf.sprintf "soak.%s.x%s" c.algo (Obs.Jsonu.float_repr c.factor) in
+      let m name v = (cell ^ "." ^ name, v) in
+      let fail = Obs.Analyze.failure_rate in
+      [
+        m "messages_per_s" c.messages_per_s;
+        m "maint_ops_per_s" c.maint_ops_per_s;
+        m "mean_convergence_ms" c.mean_convergence_ms;
+        m "lookup_failure_rate" (fail ~ok:c.lookups_ok ~total:c.lookups_issued);
+        m "ring_bad_rate" (fail ~ok:c.ring_ok ~total:c.ring_checks);
+      ])
+    r.cells
+
 let results_json r =
   let s = r.spec in
   let n = Obs.Jsonu.number in
   Printf.sprintf
-    {|{"schema":"hieras-soak","pool":%d,"initial":%d,"horizon_ms":%s,"bucket_ms":%s,"probe_every_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"adaptive":%b,"fault":%s,"fault_frac":%s,"seed":%d,"cells":[%s]}|}
+    {|{"schema":"hieras-soak","pool":%d,"initial":%d,"horizon_ms":%s,"bucket_ms":%s,"probe_every_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"adaptive":%b,"fault":%s,"fault_frac":%s,"seed":%d,"cells":[%s],%s}|}
     s.pool s.initial (n s.horizon_ms) (n s.bucket_ms) (n s.probe_every_ms) (n s.loss) s.depth
     s.landmarks s.adaptive
     (match s.fault with
@@ -372,6 +389,7 @@ let results_json r =
     | Some k -> Printf.sprintf {|"%s"|} (Resilience.schedule_name k))
     (n s.fault_frac) s.seed
     (String.concat "," (List.map cell_json r.cells))
+    (Obs.Analyze.gate ~kind:"soak" (gate_metrics r))
 
 (* Cells are already in fixed (factor-major) order, so the merged trace is
    byte-identical for any --jobs; cell_json deliberately omits net_trace so

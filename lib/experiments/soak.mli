@@ -96,9 +96,11 @@ val export_registry : Obs.Metrics.t -> results -> unit
 val results_json : results -> string
 (** Deterministic single-line object, [{"schema":"hieras-soak",...}] with
     one member per spec field and a ["cells"] array embedding each cell's
-    time series — the artifact `analyze compare` diffs and the soak golden
-    pins. The per-cell [net_trace] is deliberately {e not} embedded, so
-    the bytes do not depend on whether tracing ran. *)
+    time series — the artifact the soak golden pins — ending with the
+    ["soak"] gate (per-cell traffic rates, mean convergence time, lookup
+    and ring failure rates; {!Obs.Analyze.gate}). The per-cell
+    [net_trace] is deliberately {e not} embedded, so the bytes do not
+    depend on whether tracing ran. *)
 
 val net_trace : results -> string
 (** The cells' message-span JSONL concatenated in cell order (factor-major,

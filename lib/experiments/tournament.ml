@@ -287,6 +287,22 @@ let run ?(pool = Pool.sequential) ?registry ?(timer = Obs.Timer.disabled)
   Option.iter (fun reg -> export_registry reg r) registry;
   r
 
+(* per contestant: baseline hops, latency and stretch, then the lookup
+   failure rate and recovery penalty under each fault schedule *)
+let gate_metrics r =
+  List.concat_map
+    (fun e ->
+      let m name v = ("tournament." ^ e.algo ^ "." ^ name, v) in
+      let fault name f =
+        [
+          m (name ^ ".failure_rate") (Obs.Analyze.failure_rate ~ok:f.succeeded ~total:r.lookups);
+          m (name ^ ".penalty_ms") f.penalty_ms;
+        ]
+      in
+      [ m "hops_mean" e.hops_mean; m "latency_mean" e.latency_mean; m "stretch" e.stretch ]
+      @ fault "crash" e.crash @ fault "outage" e.outage)
+    r.entries
+
 (* Deterministic single-line JSON; fixed member and contestant order.
    Golden: test/golden/tournament_ts64.json. *)
 let results_json r =
@@ -305,10 +321,11 @@ let results_json r =
   in
   let cfg = r.config in
   Printf.sprintf
-    {|{"schema":"hieras-tournament","nodes":%d,"requests":%d,"landmarks":%d,"depth":%d,"seed":%d,"fault_fraction":%s,"crash_failed":%d,"outage_failed":%d,"contestants":[%s]}|}
+    {|{"schema":"hieras-tournament","nodes":%d,"requests":%d,"landmarks":%d,"depth":%d,"seed":%d,"fault_fraction":%s,"crash_failed":%d,"outage_failed":%d,"contestants":[%s],%s}|}
     cfg.Config.nodes r.lookups cfg.Config.landmarks cfg.Config.depth cfg.Config.seed
     (n r.fault_fraction) r.crash_failed r.outage_failed
     (String.concat "," (List.map entry_json r.entries))
+    (Obs.Analyze.gate ~kind:"tournament" (gate_metrics r))
 
 let pct ok total = if total = 0 then 0.0 else 100.0 *. float_of_int ok /. float_of_int total
 

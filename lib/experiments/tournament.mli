@@ -70,7 +70,9 @@ val run :
 
 val results_json : results -> string
 (** Deterministic single-line object, [{"schema":"hieras-tournament",...}],
-    fixed member and contestant order — the golden-gated artifact. *)
+    fixed member and contestant order — the golden-gated artifact — ending
+    with the ["tournament"] gate ({!Obs.Analyze.gate}): per contestant
+    hops, latency, stretch and each schedule's failure rate and penalty. *)
 
 val section : results -> Report.section
 (** Text-report rendering of the matrix. *)

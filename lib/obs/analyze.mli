@@ -4,9 +4,9 @@
     module turns those streams back into answers — the per-layer latency
     attribution of the paper's Figures 4–7, hop/latency distributions,
     per-node forwarding hotspots and load imbalance, and ring-residency
-    statistics — without re-running the experiment. It also diffs two
-    analysis reports (or two [BENCH_*.json] performance snapshots) and
-    flags regressions, which is what the CI perf gate runs.
+    statistics — without re-running the experiment. It also diffs the
+    gates of two artifacts (reports, experiment results, [BENCH_*.json]
+    snapshots) and flags regressions, which is what the CI perf gate runs.
 
     Everything is computed in one streaming pass ({!feed_line} /
     {!of_file} read line by line; the trace never resides in memory) and
@@ -108,9 +108,10 @@ val report_text : report -> string
 val report_json : report -> string
 (** Deterministic single-line JSON (schema in DESIGN.md §9); histograms
     render as sparse [[bin_lo, count]] pairs. The per-algo ["recover"]
-    object only appears when at least one recovery was counted, so
-    reports over healthy traces are byte-identical to pre-resilience
-    ones. *)
+    object only appears when at least one recovery was counted. The gate
+    (kind ["trace-report"]) holds [violations] and, per algo, mean hops,
+    mean and max latency, forwarding gini and the rendered [recover]
+    totals. *)
 
 (** {2 Net (message-span) reports}
 
@@ -170,9 +171,25 @@ val net_report_text : net_report -> string
 
 val net_report_json : net_report -> string
 (** Deterministic single-line JSON, ["schema":"hieras-netspan"]
-    (DESIGN.md §14). *)
+    (DESIGN.md §14). The gate (kind ["netspan"]) holds violations, drops,
+    mean causal depth, bandwidth gini and imbalance, class byte shares and
+    per-kind message counts. *)
 
-(** {2 Compare mode} *)
+(** {2 Compare mode}
+
+    Every comparable artifact ends with one member,
+    ["gate":{"kind":K,"metrics":{name:value,...}}], that its producer
+    writes from its own typed results through {!gate}. Every gated value is
+    lower-is-better (failure rates rather than success rates), so one
+    threshold rule covers every kind. *)
+
+val gate : kind:string -> (string * float) list -> string
+(** The ["gate":{...}] member, without a separating comma; pairs keep
+    their order and non-finite values are left out. *)
+
+val failure_rate : ok:int -> total:int -> float
+(** [1 - ok/total], the lower-is-better form of a success count;
+    non-finite (so left out of a gate) when [total = 0]. *)
 
 type cmp_row = {
   metric : string;
@@ -182,40 +199,16 @@ type cmp_row = {
 }
 
 type comparison = {
-  kind : string;
-      (** ["trace-report"], ["netspan"], ["bench"], ["soak"], ["cache"],
-          ["scale"] or ["tournament"] *)
+  kind : string;  (** the gates' common kind *)
   threshold : float;
-  rows : cmp_row list;  (** every metric present in both inputs *)
-  regressions : cmp_row list;
-      (** rows whose [delta] exceeds the threshold — all compared metrics
-          are lower-is-better (latency, hops, ns/op, seconds, gini,
-          violations) *)
+  rows : cmp_row list;  (** every base metric also in the candidate, base order *)
+  regressions : cmp_row list;  (** rows whose [delta] exceeds the threshold *)
 }
 
 val compare_files : base:string -> cand:string -> threshold:float -> (comparison, string) result
-(** Load two JSON files and diff them. Both must be the same kind: trace
-    reports ({!report_json} output, recognised by
-    ["schema":"hieras-trace-report"]), soak results (recognised by
-    ["schema":"hieras-soak"] — compared per cell on message/maintenance
-    rates, mean convergence time, and lookup/ring {e failure} rates so
-    every metric stays lower-is-better), bench snapshots ([BENCH_*.json],
-    recognised by their ["micro"] array — compared on micro ns/op,
-    per-figure seconds and GC words, and packed-network
-    ["memory".*_bytes_resident]; whole-run GC totals and [peak_rss_kb]
-    stay informational), or scale runs (["hieras-scale"] /
-    ["hieras-scale-bench"] — compared on the deterministic core: hop
-    statistics, segment counts, resident bytes and agreement rates,
-    never wall clock or RSS), or tournament matrices
-    (["hieras-tournament"] — compared per contestant on baseline
-    hops/latency/stretch plus per-schedule lookup {e failure} rates and
-    recovery penalty, all lower-is-better), or netspan reports
-    (["hieras-netspan"] — compared on violations, drops, causal depth,
-    bandwidth gini/imbalance, class byte shares and per-kind message
-    counts: the maintenance-rate gate), or cache runs
-    (["hieras-cache"] — compared per algo × replication × skew cell on
-    unavailability, miss rate, put failure rate and lookup latency, all
-    lower-is-better: the data-availability gate). *)
+(** Load the gates of two JSON files and join them by metric name. An error
+    when either file has no gate, when the kinds differ, or when no metric
+    is common to both. *)
 
 val comparison_text : comparison -> string
 (** Aligned table of metric, base, candidate, delta — regressions

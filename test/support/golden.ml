@@ -55,11 +55,14 @@ let build_report () =
    analyzer's JSON report. Pins the fault draw, both route_resilient paths
    (retry/fallback/layer-escape decisions and penalty arithmetic) and the
    recover section of the analysis schema in one artifact — and, being a
-   trace-report, it is directly comparable with `analyze compare`. *)
-let build_resilience () =
+   trace-report, it is directly comparable with `analyze compare`. Other
+   fractions give the compare tests a worse candidate. *)
+let build_resilience ?(fraction = 0.3) () =
   let buf = Buffer.create 8192 in
   let tr = Obs.Trace.jsonl (Buffer.add_string buf) in
-  ignore (Experiments.Resilience.run ~trace:tr ~fractions:[ 0.3 ] ~kind:Experiments.Resilience.Crash cfg);
+  ignore
+    (Experiments.Resilience.run ~trace:tr ~fractions:[ fraction ]
+       ~kind:Experiments.Resilience.Crash cfg);
   let an = Obs.Analyze.create () in
   String.split_on_char '\n' (Buffer.contents buf) |> List.iter (Obs.Analyze.feed_line an);
   Obs.Analyze.report_json (Obs.Analyze.report an) ^ "\n"

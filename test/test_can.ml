@@ -171,15 +171,56 @@ let test_route_hop_scaling () =
 
 (* --- Layered (HIERAS over CAN) ---------------------------------------------------- *)
 
-let make_layered ?(hosts = 200) ?(depth = 2) seed =
+let layered_inputs ?(hosts = 200) seed =
   let rng = Prng.Rng.create ~seed in
   let lat = Topology.Transit_stub.generate ~hosts rng in
   let net =
     Net.build ~space:Id.sha1_space ~hosts:(Array.init hosts (fun i -> i))
       ~salt:(Printf.sprintf "lc%d" seed) ()
   in
-  let lm = Binning.Landmark.choose_spread lat ~count:4 rng in
+  (lat, net, Binning.Landmark.choose_spread lat ~count:4 rng)
+
+let make_layered ?hosts ?(depth = 2) seed =
+  let lat, net, lm = layered_inputs ?hosts seed in
   (lat, net, Layered.build ~global:net ~lat ~landmarks:lm ~depth ())
+
+(* Can.Layered and Hieras.Make (Can.Routable) walk the same rings: same
+   destination, same (from, to, layer) hop sequence, same latency, except
+   when the origin owns the key. The functor stops there without a hop.
+   Can.Layered still walks the origin's ring CAN, whose zones need not
+   contain the global ones, and comes back: on the depth-2 stream below,
+   request 24 goes 71 -> 132 (layer 2) -> 91 -> 71. *)
+let test_layered_agrees_with_functor () =
+  let module L = Experiments.Tournament.LCan in
+  List.iter
+    (fun (depth, seed, qseed, count) ->
+      let lat, net, lm = layered_inputs seed in
+      let lcan = Layered.build ~global:net ~lat ~landmarks:lm ~depth () in
+      let fcan = L.build ~base:(Can.Routable.make ~net ~lat) ~lat ~landmarks:lm ~depth () in
+      let rng = Prng.Rng.create ~seed:qseed in
+      for i = 1 to count do
+        let key = Id.random Id.sha1_space rng in
+        let origin = Prng.Rng.int rng (Net.size net) in
+        let a = Layered.route lcan ~origin ~key and b = L.route fcan ~origin ~key in
+        let what = Printf.sprintf "depth %d request %d" depth i in
+        Alcotest.(check int) (what ^ ": destination") a.Layered.destination
+          b.Routing.destination;
+        if origin = Net.owner_of_key net key then
+          Alcotest.(check int) (what ^ ": functor stays at the owning origin") 0
+            b.Routing.hop_count
+        else begin
+          Alcotest.(check (list (triple int int int)))
+            (what ^ ": hops")
+            (List.map
+               (fun h -> (h.Layered.from_node, h.Layered.to_node, h.Layered.layer))
+               a.Layered.hops)
+            (List.map
+               (fun h -> (h.Routing.from_node, h.Routing.to_node, h.Routing.layer))
+               b.Routing.hops);
+          Alcotest.(check (float 0.0)) (what ^ ": latency") a.Layered.latency b.Routing.latency
+        end
+      done)
+    [ (2, 14, 15, 300); (3, 16, 17, 150) ]
 
 let test_layered_structure () =
   let _, net, lcan = make_layered 12 in
@@ -307,6 +348,7 @@ let () =
           Alcotest.test_case "route correct" `Quick test_layered_route_correct;
           Alcotest.test_case "depth 3" `Quick test_layered_depth3;
           Alcotest.test_case "beats flat CAN" `Slow test_layered_beats_flat_on_latency;
+          Alcotest.test_case "agrees with Hieras.Make" `Quick test_layered_agrees_with_functor;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_route_owner; prop_partition_any_size ] );

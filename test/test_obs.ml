@@ -688,16 +688,20 @@ let test_analyze_compare () =
           | Ok cmp -> Alcotest.(check int) "self-compare clean" 0 (List.length cmp.Analyze.regressions)));
   (* mismatched kinds are an error, not a silent empty diff *)
   with_temp_file base (fun b ->
-      with_temp_file {|{"label":"x","micro":[{"name":"op","ns_per_op":5}]}|} (fun c ->
+      with_temp_file
+        {|{"label":"x","micro":[{"name":"op","ns_per_op":5}],"gate":{"kind":"bench","metrics":{"micro.op.ns_per_op":5}}}|}
+        (fun c ->
           match Analyze.compare_files ~base:b ~cand:c ~threshold:0.2 with
-          | Error _ -> ()
+          | Error e ->
+              Alcotest.(check string) "the kinds differ"
+                "cannot compare a trace-report against a bench" e
           | Ok _ -> Alcotest.fail "kind mismatch accepted"))
 
 let test_analyze_compare_bench () =
   let bench label ns secs =
     Printf.sprintf
-      {|{"label":"%s","figures":[{"id":"fig4","seconds":%g}],"micro":[{"name":"op","ns_per_op":%g}]}|}
-      label secs ns
+      {|{"label":"%s","figures":[{"id":"fig4","seconds":%g}],"micro":[{"name":"op","ns_per_op":%g}],"gate":{"kind":"bench","metrics":{"micro.op.ns_per_op":%g,"figure.fig4.seconds":%g}}}|}
+      label secs ns ns secs
   in
   with_temp_file (bench "a" 100.0 2.0) (fun b ->
       with_temp_file (bench "b" 130.0 2.0) (fun c ->
@@ -707,6 +711,98 @@ let test_analyze_compare_bench () =
               Alcotest.(check string) "kind" "bench" cmp.Analyze.kind;
               Alcotest.(check (list string)) "only the micro regressed" [ "micro.op.ns_per_op" ]
                 (List.map (fun r -> r.Analyze.metric) cmp.Analyze.regressions)))
+
+(* --- compare replay ------------------------------------------------------------ *)
+
+(* Every comparable kind, produced by its real writer from a tiny run (bench
+   excepted: its writer lives in bench/main.ml, so its input is written by
+   hand), diffed base against a worse candidate at the CI threshold. The
+   expected table and regression list are pinned in
+   golden/compare_<case>.txt, so any change to what a kind gates on — metric
+   names, order, values or the regression set — shows up as a diff. *)
+
+module Golden = Obs_test_support.Golden
+
+let check_replay case ~base ~cand =
+  with_temp_file base (fun b ->
+      with_temp_file cand (fun c ->
+          match Analyze.compare_files ~base:b ~cand:c ~threshold:0.2 with
+          | Error e -> Alcotest.fail (case ^ ": " ^ e)
+          | Ok cmp ->
+              let got =
+                Analyze.comparison_text cmp ^ "regressions:"
+                ^ String.concat ""
+                    (List.map (fun r -> " " ^ r.Analyze.metric) cmp.Analyze.regressions)
+                ^ "\n"
+              in
+              let want = read_file (Filename.concat "golden" ("compare_" ^ case ^ ".txt")) in
+              Alcotest.(check string) case want got))
+
+let test_replay_trace_report () =
+  let worse = Golden.build_resilience ~fraction:0.5 () in
+  check_replay "trace-report" ~base:(Golden.build_resilience ()) ~cand:worse;
+  (* recover rows only in the candidate: they have nothing to join with *)
+  check_replay "trace-report-healthy" ~base:(Golden.build_report ()) ~cand:worse
+
+let test_replay_netspan () =
+  let report spec =
+    let an = Analyze.create () in
+    String.split_on_char '\n' (Experiments.Soak.net_trace (Experiments.Soak.run spec))
+    |> List.iter (Analyze.feed_line an);
+    match Analyze.net_report an with
+    | Some r -> Analyze.net_report_json r
+    | None -> Alcotest.fail "no net report"
+  in
+  check_replay "netspan" ~base:(report Golden.netspan_spec)
+    ~cand:(report { Golden.netspan_spec with Experiments.Soak.loss = 0.05 })
+
+let test_replay_soak () =
+  let json spec = Experiments.Soak.results_json (Experiments.Soak.run spec) in
+  check_replay "soak" ~base:(json Golden.soak_spec)
+    ~cand:
+      (json
+         {
+           Golden.soak_spec with
+           Experiments.Soak.fault = Some Experiments.Resilience.Crash;
+           fault_frac = 0.5;
+         })
+
+let test_replay_cache () =
+  let json spec = Experiments.Cache.results_json (Experiments.Cache.run spec) in
+  check_replay "cache" ~base:(json Golden.cache_spec)
+    ~cand:
+      (json
+         {
+           Golden.cache_spec with
+           Experiments.Cache.fault = Experiments.Cache.Crash;
+           fault_frac = 0.5;
+         })
+
+let test_replay_scale () =
+  let base = Experiments.Scale.run Golden.scale_spec in
+  let cand = Experiments.Scale.run { Golden.scale_spec with Experiments.Scale.nodes = 128 } in
+  check_replay "scale" ~base:(Experiments.Scale.results_json base)
+    ~cand:(Experiments.Scale.results_json cand);
+  (* the scale bench gates on its embedded results alone *)
+  check_replay "scale" ~base:(Experiments.Scale.bench_json base)
+    ~cand:(Experiments.Scale.bench_json cand)
+
+let test_replay_tournament () =
+  let json ?fault_fraction () =
+    Experiments.Tournament.results_json
+      (Experiments.Tournament.run ?fault_fraction Golden.tournament_cfg)
+  in
+  check_replay "tournament" ~base:(json ()) ~cand:(json ~fault_fraction:0.6 ())
+
+let test_replay_bench () =
+  let bench ~ns ~secs ~bytes =
+    Printf.sprintf
+      {|{"label":"x","figures":[{"id":"fig4","seconds":%s,"minor_words":1000,"major_words":10,"top_heap_words":500}],"memory":{"chord_bytes_resident":%d,"hieras_bytes_resident":2000,"gc_minor_words":9,"peak_rss_kb":100},"micro":[{"name":"sha1","ns_per_op":%s},{"name":"lookup","ns_per_op":12.5}],"gate":{"kind":"bench","metrics":{"micro.sha1.ns_per_op":%s,"micro.lookup.ns_per_op":12.5,"figure.fig4.seconds":%s,"figure.fig4.minor_words":1000,"figure.fig4.major_words":10,"figure.fig4.top_heap_words":500,"memory.chord_bytes_resident":%d,"memory.hieras_bytes_resident":2000}}}|}
+      secs bytes ns ns secs bytes
+  in
+  check_replay "bench"
+    ~base:(bench ~ns:"100.25" ~secs:"0.5" ~bytes:1000)
+    ~cand:(bench ~ns:"130.5" ~secs:"0.55" ~bytes:1300)
 
 (* --- phase timer -------------------------------------------------------------- *)
 
@@ -941,6 +1037,16 @@ let () =
             test_analyze_audit_detects_corruption;
           Alcotest.test_case "compare flags trace-report regressions" `Quick test_analyze_compare;
           Alcotest.test_case "compare flags bench regressions" `Quick test_analyze_compare_bench;
+        ] );
+      ( "compare-replay",
+        [
+          Alcotest.test_case "trace-report" `Quick test_replay_trace_report;
+          Alcotest.test_case "netspan" `Quick test_replay_netspan;
+          Alcotest.test_case "soak" `Quick test_replay_soak;
+          Alcotest.test_case "cache" `Quick test_replay_cache;
+          Alcotest.test_case "scale" `Quick test_replay_scale;
+          Alcotest.test_case "tournament" `Quick test_replay_tournament;
+          Alcotest.test_case "bench" `Quick test_replay_bench;
         ] );
       ( "timer",
         [
